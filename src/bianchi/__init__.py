@@ -22,6 +22,7 @@ from .classify import (
     GammaMismatchError,
     KindReport,
     NoHostOrderError,
+    checked_gamma,
     classify_report,
     contains_in_order,
     contains_in_psl2o,
@@ -80,6 +81,7 @@ __all__ = [
     "GammaMismatchError",
     "KindReport",
     "NoHostOrderError",
+    "checked_gamma",
     "classify_report",
     "contains_in_order",
     "contains_in_psl2o",

@@ -10,17 +10,17 @@ on mismatch, which serves as the library's built-in self test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from .arith import Place, factorize, hilbert_symbol
+from .arith import hilbert_symbol
 from .orders import (
-    LambdaClass,
     LambdaLike,
+    _lam,
     automorphism_index,
     global_embedding_count,
 )
 from .quadfield import ImagQuadField, is_ideal_norm
-from .quaternion import SubgroupKind, group_algebra
+from .quaternion import SubgroupKind, group_algebra, sigma
 
 
 class NoHostOrderError(ValueError):
@@ -31,78 +31,59 @@ class GammaMismatchError(RuntimeError):
     """The two independent conjugacy-count paths disagree (internal error)."""
 
 
-def _field(d: int) -> ImagQuadField:
+FieldLike = Union[int, ImagQuadField]
+
+
+def _field(d: FieldLike) -> ImagQuadField:
     # NonSquarefreeError propagates: every criterion assumes squarefree d
-    return ImagQuadField(d)
+    return d if isinstance(d, ImagQuadField) else ImagQuadField(d)
 
 
-def _odd_prime_divisors(n: int) -> tuple[int, ...]:
-    return tuple(p for p in factorize(n).primes() if p != 2)
-
-
-def contains_in_psl2o(kind: SubgroupKind, d: int) -> bool:
-    """Existence of the group type in PSL2(o), by congruences on the primes
-    of d: D3 needs p = 1 mod 3 for all p != 3 dividing d; T needs p = 1 or
-    3 mod 8 for all odd p | d; maximal D2 needs p = 1 mod 4 for all odd p | d.
+def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
+    """The prime divisors of d violating the kind's congruence condition:
+    D3 needs p = 1 mod 3 for all p != 3 dividing d; T needs p = 1 or 3 mod 8
+    for all odd p | d; maximal D2 needs p = 1 mod 4 for all odd p | d.
     """
-    _field(d)
+    primes = _field(d).primes
     if kind is SubgroupKind.D3:
-        return all(p % 3 == 1 for p in factorize(d).primes() if p != 3)
+        return [p for p in primes if p != 3 and p % 3 != 1]
     if kind is SubgroupKind.T:
-        return all(p % 8 in (1, 3) for p in _odd_prime_divisors(d))
-    return all(p % 4 == 1 for p in _odd_prime_divisors(d))
+        return [p for p in primes if p != 2 and p % 8 not in (1, 3)]
+    return [p for p in primes if p != 2 and p % 4 != 1]
 
 
-def failing_primes(kind: SubgroupKind, d: int) -> list[int]:
-    """The prime divisors of d violating the kind's congruence condition."""
-    _field(d)
-    if kind is SubgroupKind.D3:
-        return [p for p in factorize(d).primes() if p != 3 and p % 3 != 1]
-    if kind is SubgroupKind.T:
-        return [p for p in _odd_prime_divisors(d) if p % 8 not in (1, 3)]
-    return [p for p in _odd_prime_divisors(d) if p % 4 != 1]
+def contains_in_psl2o(kind: SubgroupKind, d: FieldLike) -> bool:
+    """Existence of the group type in PSL2(o): no prime of d fails the
+    kind's congruence condition (see ``failing_primes``)."""
+    return not failing_primes(kind, d)
 
 
-_KIND_MULTIPLIER = {
-    SubgroupKind.D3: -3,
-    SubgroupKind.T: -2,
-    SubgroupKind.D2MAX: -1,
-}
-
-_KIND_EXCLUDED_PRIME = {
-    SubgroupKind.D3: 3,
-    SubgroupKind.T: 2,
-    SubgroupKind.D2MAX: 2,
-}
-
-
-def contains_in_order(kind: SubgroupKind, lam_M: LambdaLike, d: int) -> bool:
+def contains_in_order(kind: SubgroupKind, lam_M: LambdaLike, d: FieldLike) -> bool:
     """Existence of the group type in the unit group of an M2(k)-maximal
-    order of type lam_M: the symbol (m * lam_M, -d)_p with m in {-3, -2, -1}
-    must be +1 at every place outside {3, oo} resp. {2, oo}.
+    order of type lam_M: with F the group's rational algebra and lam its
+    index, the symbol (sigma(F) * lam * lam_M, -d)_v must be +1 at every
+    place v where F is unramified, i.e. outside {3, oo} resp. {2, oo}.
     """
     k = _field(d)
-    lam = lam_M if isinstance(lam_M, LambdaClass) else LambdaClass.from_index(lam_M)
-    if not is_ideal_norm(lam.value, k):
+    lam_M = _lam(lam_M)
+    if not is_ideal_norm(lam_M.value, k):
         raise ValueError(
-            f"lam={lam.value} is not an admissible M2(k)-order type for d={d}"
+            f"lam={lam_M.value} is not an admissible M2(k)-order type for d={k.d}"
         )
-    a = _KIND_MULTIPLIER[kind] * lam.value
-    excluded = _KIND_EXCLUDED_PRIME[kind]
-    # symbols are +1 automatically outside 2*a*d
-    sweep = {2} | set(factorize(a * d).primes())
-    sweep.discard(excluded)
-    return all(hilbert_symbol(a, -d, Place(p)) == 1 for p in sorted(sweep))
+    data = group_algebra(kind)
+    a = sigma(data.algebra) * data.lambda_of_group_order * lam_M.value
+    unramified = [v for v in k.symbol_places(a) if v not in data.algebra.ramified]
+    return all(hilbert_symbol(a, -k.d, v) == 1 for v in unramified)
 
 
-def host_algebra_split(kind: SubgroupKind, d: int) -> bool:
+def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
     """Whether the k-algebra hosting the group type is the matrix algebra.
 
     D3: split iff d != 2 mod 3; T: split iff d != 7 mod 8. A maximal D2
     exists in some maximal order only for d != 3 mod 4 (and then the host
     is always split); otherwise NoHostOrderError is raised.
     """
-    _field(d)
+    d = _field(d).d
     if kind is SubgroupKind.D3:
         return d % 3 != 2
     if kind is SubgroupKind.T:
@@ -114,7 +95,7 @@ def host_algebra_split(kind: SubgroupKind, d: int) -> bool:
     return True
 
 
-def gamma(kind: SubgroupKind, d: int) -> int:
+def gamma(kind: SubgroupKind, d: FieldLike) -> int:
     """Conjugacy classes of maximal finite subgroups of the given type in
     the unit group of a maximal order of its host algebra (closed form).
 
@@ -124,33 +105,33 @@ def gamma(kind: SubgroupKind, d: int) -> int:
     of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8).
     """
     k = _field(d)
+    odd = [p for p in k.primes if p != 2]
     if kind is SubgroupKind.D3:
         t = sum(1 for p in k.discriminant_primes() if p != 3)
-        if d % 3 != 2:
+        if k.d % 3 != 2:
             return 1 << t
-        odd = _odd_prime_divisors(d)
         if all(p % 12 in (1, 11) for p in odd):
             return 1 << (t + 1)
         return 1 << t
     if kind is SubgroupKind.T:
-        t = len(_odd_prime_divisors(d))
-        if d % 8 != 7:
+        t = len(odd)
+        if k.d % 8 != 7:
             return 1 << t
-        if all(p % 8 in (1, 7) for p in factorize(d).primes()):
+        if all(p % 8 in (1, 7) for p in k.primes):
             return 1 << (t + 1)
         return 1 << t
-    host_algebra_split(kind, d)  # raises for d = 3 mod 4
-    return 1 << len(_odd_prime_divisors(d))
+    host_algebra_split(kind, k)  # raises for d = 3 mod 4
+    return 1 << len(odd)
 
 
-def gamma_composed(kind: SubgroupKind, d: int) -> int:
+def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     """The same count along the independent embedding path:
     2 * C(group order) * [Aut : Inn of the maximal order] / (group aut index).
     """
     k = _field(d)
     data = group_algebra(kind)
     if kind is SubgroupKind.D2MAX:
-        host_algebra_split(kind, d)  # raises for d = 3 mod 4
+        host_algebra_split(kind, k)  # raises for d = 3 mod 4
     C = global_embedding_count(data.lambda_of_group_order, data.algebra, k)
     index = automorphism_index(data.algebra, k)
     num = 2 * C * index
@@ -159,6 +140,21 @@ def gamma_composed(kind: SubgroupKind, d: int) -> int:
             f"embedding-path count {num} not divisible by {data.aut_index}"
         )
     return num // data.aut_index
+
+
+def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:
+    """The conjugacy count by both ``gamma`` and ``gamma_composed``, the one
+    place where the two paths are compared: raises GammaMismatchError unless
+    they agree on a power of 2. NoHostOrderError propagates."""
+    k = _field(d)
+    closed = gamma(kind, k)
+    embedded = gamma_composed(kind, k)
+    if closed != embedded or closed < 1 or closed & (closed - 1):
+        raise GammaMismatchError(
+            f"conjugacy-count paths disagree or give no power of 2 for "
+            f"{kind.value}, d={k.d}: closed form {closed}, embedding path {embedded}"
+        )
+    return closed
 
 
 @dataclass(frozen=True)
@@ -182,25 +178,17 @@ class ClassificationReport:
         raise KeyError(kind)
 
 
-def classify_report(d: int) -> ClassificationReport:
+def classify_report(d: FieldLike) -> ClassificationReport:
     """Full classification for one d, with the conjugacy count computed by
     both paths and checked for equality."""
-    _field(d)
+    k = _field(d)
     entries = []
     for kind in (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX):
-        exists = contains_in_psl2o(kind, d)
-        fails = tuple(failing_primes(kind, d))
+        fails = tuple(failing_primes(kind, k))
         try:
-            split = host_algebra_split(kind, d)
+            split = host_algebra_split(kind, k)
+            count = checked_gamma(kind, k)
         except NoHostOrderError:
-            entries.append(KindReport(kind, exists, None, None, fails))
-            continue
-        g_closed = gamma(kind, d)
-        g_embed = gamma_composed(kind, d)
-        if g_closed != g_embed:
-            raise GammaMismatchError(
-                f"conjugacy-count paths disagree for {kind.value}, d={d}: "
-                f"closed form {g_closed} vs embedding path {g_embed}"
-            )
-        entries.append(KindReport(kind, exists, split, g_closed, fails))
-    return ClassificationReport(d, tuple(entries))
+            split = count = None
+        entries.append(KindReport(kind, not fails, split, count, fails))
+    return ClassificationReport(k.d, tuple(entries))

@@ -20,11 +20,10 @@ from .arith import factorize, hilbert_symbol, is_squarefree
 from .classify import (
     ClassificationReport,
     GammaMismatchError,
+    checked_gamma,
     classify_report,
     contains_in_order,
     contains_in_psl2o,
-    gamma,
-    gamma_composed,
     host_algebra_split,
     NoHostOrderError,
 )
@@ -37,6 +36,7 @@ from .quaternion import (
     sigma_k,
 )
 from .oracle import PrecisionError, count_maximal_orders_local, find_subgroup
+from .oracle.localtree import _smallest_nonresidue
 
 SCHEMA_VERSION = "1.0"
 
@@ -71,6 +71,12 @@ def _workers() -> int:
             raise UsageError("BIANCHI_THREADS must be >= 1")
         return n
     return min(os.cpu_count() or 1, 8)
+
+
+def _check_dmax(dmax: Optional[int]) -> None:
+    """None stands for a suite's default range."""
+    if dmax is not None and not 1 <= dmax <= 10**6:
+        raise UsageError("--dmax must lie in 1..10^6")
 
 
 def _squarefree_range(dmax: int) -> list[int]:
@@ -142,8 +148,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.dmax < 1 or args.dmax > 10**6:
-        raise UsageError("--dmax must lie in 1..10^6")
+    _check_dmax(args.dmax)
     kinds = _KIND_ORDER
     if args.kinds:
         names = [s.strip() for s in args.kinds.split(",") if s.strip()]
@@ -195,16 +200,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     kind = _KIND_BY_NAME[args.kind]
-    try:
-        value = gamma(kind, args.d)
-        composed = gamma_composed(kind, args.d)
-        split = host_algebra_split(kind, args.d)
-    except NoHostOrderError as exc:
-        raise UsageError(str(exc))
-    if value != composed:
-        raise GammaMismatchError(
-            f"paths disagree for {kind.value}, d={args.d}: {value} vs {composed}"
-        )
+    k = ImagQuadField(args.d)
+    # NoHostOrderError is a ValueError: main reports it as a usage error
+    value = checked_gamma(kind, k)
+    split = host_algebra_split(kind, k)
     host = "matrix" if split else "division"
     print(
         _dump(
@@ -241,42 +240,41 @@ def _suite_reciprocity(args: argparse.Namespace) -> list[str]:
 
 
 def _existence_failures_at(d: int) -> list[str]:
+    k = ImagQuadField(d)
     return [
         f"symbol/congruence mismatch: {kind.value}, d={d}"
         for kind in _KIND_ORDER
-        if contains_in_order(kind, 1, d) != contains_in_psl2o(kind, d)
+        if contains_in_order(kind, 1, k) != contains_in_psl2o(kind, k)
     ]
 
 
 def _suite_existence(args: argparse.Namespace) -> list[str]:
-    dmax = args.dmax or 1000
+    dmax = 1000 if args.dmax is None else args.dmax
     ds = _squarefree_range(dmax)
     return [f for rows in _pool_map(_existence_failures_at, ds, _workers()) for f in rows]
 
 
 def _gamma_failures_at(d: int) -> list[str]:
+    k = ImagQuadField(d)
     failures = []
     for kind in _KIND_ORDER:
         try:
-            a = gamma(kind, d)
-            b = gamma_composed(kind, d)
+            checked_gamma(kind, k)
         except NoHostOrderError:
             continue
-        if a != b:
-            failures.append(f"gamma paths differ: {kind.value}, d={d}: {a} vs {b}")
-        elif a & (a - 1):
-            failures.append(f"gamma not a power of 2: {kind.value}, d={d}: {a}")
+        except GammaMismatchError as exc:
+            failures.append(str(exc))
     return failures
 
 
 def _suite_gamma(args: argparse.Namespace) -> list[str]:
-    dmax = args.dmax or 500
+    dmax = 500 if args.dmax is None else args.dmax
     ds = _squarefree_range(dmax)
     return [f for rows in _pool_map(_gamma_failures_at, ds, _workers()) for f in rows]
 
 
 def _suite_autindex(args: argparse.Namespace) -> list[str]:
-    dmax = args.dmax or 200
+    dmax = 200 if args.dmax is None else args.dmax
     failures = []
     algebras = [
         group_algebra(SubgroupKind.D3).algebra,
@@ -301,8 +299,8 @@ def _suite_autindex(args: argparse.Namespace) -> list[str]:
 
 
 def _suite_subgroups(args: argparse.Namespace) -> list[str]:
-    dmax = args.dmax or 30
-    height = args.height or 10
+    dmax = 30 if args.dmax is None else args.dmax
+    height = 10 if args.height is None else args.height
     failures = []
     for d in _squarefree_range(dmax):
         for kind in _KIND_ORDER:
@@ -326,7 +324,7 @@ def _suite_local(args: argparse.Namespace) -> list[str]:
     failures = []
     for p, d in ((3, 3), (5, 5)):
         k = ImagQuadField(d)
-        for split_alg, tau in ((True, 1), (False, _nonresidue(p))):
+        for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
             for r in range(4):
                 expected = (
                     1
@@ -348,12 +346,6 @@ def _suite_local(args: argparse.Namespace) -> list[str]:
     return failures
 
 
-def _nonresidue(p: int) -> int:
-    from .arith import kronecker
-
-    return next(n for n in range(2, p) if kronecker(n, p) == -1)
-
-
 _SUITES = {
     "reciprocity": _suite_reciprocity,
     "existence": _suite_existence,
@@ -365,6 +357,9 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_dmax(args.dmax)
+    if args.height is not None and args.height < 1:
+        raise UsageError("--height must be >= 1")
     failures = _SUITES[args.suite](args)
     if failures:
         for line in failures:

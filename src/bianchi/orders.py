@@ -17,7 +17,6 @@ from .arith import (
     Place,
     factorize,
     hilbert_symbol,
-    relevant_places,
     squarefree_part,
     valuation,
 )
@@ -80,14 +79,14 @@ class HilbertCharacter:
     def of_square_class(cls, m: int, k: ImagQuadField) -> "HilbertCharacter":
         """The character v -> (m, -d)_v."""
         minus = frozenset(
-            v for v in relevant_places(m, k.d) if hilbert_symbol(m, -k.d, v) == -1
+            v for v in k.symbol_places(m) if hilbert_symbol(m, -k.d, v) == -1
         )
         return cls(minus)
 
 
 def character_is_trivial(m: int, k: ImagQuadField) -> bool:
     """(m, -d)_v = +1 at every place of Q."""
-    return all(hilbert_symbol(m, -k.d, v) == 1 for v in relevant_places(m, k.d))
+    return all(hilbert_symbol(m, -k.d, v) == 1 for v in k.symbol_places(m))
 
 
 def squarefree_divisors(n: int) -> list[int]:
@@ -143,7 +142,7 @@ def intersection_character(
     if sigma_k(F, k) != 1:
         raise ValueError("F does not embed in M2(k): sigma_k(F) != 1")
     lam_M = _lam(lam_M)
-    sweep = set(relevant_places(sigma(F) * lam_M.value, k.d)) | F.ramified
+    sweep = set(k.symbol_places(sigma(F) * lam_M.value)) | F.ramified
     minus = frozenset(
         v
         for v in sweep
@@ -177,7 +176,7 @@ def joint_intersection_factor(
         * sigma(F2)
         * _lam(lam_F2).value
     )
-    sweep = set(relevant_places(base, sigma_k(F, k), k.d)) | F.ramified | F2.ramified
+    sweep = set(k.symbol_places(base, sigma_k(F, k))) | F.ramified | F2.ramified
     for f in squarefree_divisors(sigma_k(F, k)):
         if all(
             hilbert_symbol(base * f, -k.d, v)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .arith import (
+    Place,
     factorize,
     hilbert_symbol,
-    is_squarefree,
     kronecker,
     relevant_places,
     squarefree_part,
@@ -32,15 +32,21 @@ class ImagQuadField:
     The ring of integers is Z[omega] with omega = (1 + i*sqrt(d))/2 when
     d = 3 mod 4 and omega = i*sqrt(d) otherwise; the discriminant is D = -d
     in the first case and D = -4d in the second.
+
+    The field carries the primes of d, ascending, in ``primes``: d is
+    factored once, when the field is built. Equality and hash are by d.
     """
 
     d: int
+    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
-        if not is_squarefree(self.d):
+        fac = factorize(self.d)
+        if any(e > 1 for _, e in fac.factors):
             raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
+        object.__setattr__(self, "primes", fac.primes())
 
     @property
     def discriminant(self) -> int:
@@ -56,7 +62,14 @@ class ImagQuadField:
         return "(1+i*sqrt(d))/2" if self.half_integral else "i*sqrt(d)"
 
     def discriminant_primes(self) -> tuple[int, ...]:
-        return factorize(self.discriminant).primes()
+        return self.primes if self.d % 4 in (2, 3) else (2,) + self.primes
+
+    def symbol_places(self, *values: int) -> list[Place]:
+        """Places where (m, -d)_v can be -1 for m a product of the values:
+        those of ``relevant_places(*values, d)``, with d's primes read from
+        ``primes`` instead of factoring d again."""
+        places = {*relevant_places(*values), *map(Place, self.primes)}
+        return sorted(places, key=Place.sort_key)
 
 
 def make_field(d: int, *, reduce: bool = False) -> ImagQuadField:
@@ -97,7 +110,7 @@ def is_global_norm(lam: int, k: ImagQuadField) -> bool:
     at every place, with only v in {oo, 2} u primes(lam*d) needing a check."""
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    for v in relevant_places(lam, k.d):
+    for v in k.symbol_places(lam):
         if hilbert_symbol(lam, -k.d, v) != 1:
             return False
     return True

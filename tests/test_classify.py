@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 
-from bianchi.arith import is_squarefree
+from bianchi.arith import factorize, is_squarefree
 from bianchi.classify import (
+    GammaMismatchError,
     NoHostOrderError,
     classify_report,
     contains_in_order,
@@ -11,7 +14,7 @@ from bianchi.classify import (
     gamma_composed,
     host_algebra_split,
 )
-from bianchi.quadfield import NonSquarefreeError
+from bianchi.quadfield import ImagQuadField, NonSquarefreeError
 from bianchi.quaternion import SubgroupKind
 
 KINDS = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
@@ -169,11 +172,14 @@ def test_containment_constant_on_isomorphism_classes():
 
 def test_classify_report_d91():
     # 91 = 7 * 13: both are 1 mod 3, but 7 fails the mod-8 and mod-4 tests
-    report = classify_report(91)
-    d3, t, d2 = report.kinds
-    assert d3.exists_in_psl2o and not t.exists_in_psl2o and not d2.exists_in_psl2o
-    assert t.failing_primes == (7, 13)  # 13 = 5 mod 8 also fails for T
-    assert d2.failing_primes == (7,)
+    for d in (91, ImagQuadField(91)):
+        report = classify_report(d)
+        assert report.d == 91
+        d3, t, d2 = report.kinds
+        assert d3.exists_in_psl2o
+        assert not t.exists_in_psl2o and not d2.exists_in_psl2o
+        assert t.failing_primes == (7, 13)  # 13 = 5 mod 8 also fails for T
+        assert d2.failing_primes == (7,)
 
 
 def test_classify_gamma_presence_matches_host_existence():
@@ -186,3 +192,27 @@ def test_classify_gamma_presence_matches_host_existence():
                 assert entry.gamma is None
             else:
                 assert entry.gamma is not None
+
+
+def test_classify_report_raises_when_gamma_paths_differ(monkeypatch):
+    monkeypatch.setattr(
+        "bianchi.classify.gamma_composed",
+        lambda kind, d: 2 * gamma_composed(kind, d),
+    )
+    with pytest.raises(GammaMismatchError):
+        classify_report(5)
+
+
+def test_classify_report_factors_d_once(monkeypatch):
+    d = 10000000019
+    seen = []
+
+    def counting(n):
+        seen.append(abs(n))
+        return factorize(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bianchi") and getattr(mod, "factorize", None) is factorize:
+            monkeypatch.setattr(mod, "factorize", counting)
+    classify_report(d)
+    assert seen.count(d) == 1

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from bianchi.classify import gamma_composed
 from bianchi.cli import main
 
 
@@ -108,3 +111,36 @@ def test_threads_env_validation(capsys, monkeypatch):
     code, _, err = run(capsys, "scan", "--dmax", "5")
     assert code == 2
     assert "BIANCHI_THREADS" in err
+
+
+@pytest.fixture
+def wrong_composed_count(monkeypatch):
+    monkeypatch.setattr(
+        "bianchi.classify.gamma_composed",
+        lambda kind, d: 2 * gamma_composed(kind, d),
+    )
+
+
+def test_gamma_command_reports_path_mismatch(capsys, wrong_composed_count):
+    code, _, err = run(capsys, "gamma", "--d", "5", "--kind", "d3")
+    assert code == 1
+    assert "internal check failed" in err
+
+
+def test_verify_gamma_reports_path_mismatch(capsys, wrong_composed_count):
+    code, out, err = run(capsys, "verify", "--suite", "gamma", "--dmax", "5")
+    assert code == 1
+    assert "FAIL:" in err and "failure(s)" in out
+
+
+def test_verify_rejects_dmax_out_of_range(capsys):
+    for dmax in ("0", "1000001"):
+        code, out, err = run(capsys, "verify", "--suite", "gamma", "--dmax", dmax)
+        assert code == 2
+        assert "--dmax" in err and "pass" not in out
+
+
+def test_verify_rejects_height_below_one(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "subgroups", "--height", "0")
+    assert code == 2
+    assert "--height" in err and "pass" not in out

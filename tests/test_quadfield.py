@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi.arith import is_prime, is_squarefree
+from bianchi.arith import factorize, is_prime, is_squarefree, relevant_places
 from bianchi.quadfield import (
     NonSquarefreeError,
     SplitType,
@@ -28,6 +28,18 @@ def test_make_field_strictness():
     assert make_field(12, reduce=True).d == 3
     with pytest.raises(ValueError):
         make_field(0)
+
+
+def test_field_carries_the_primes_of_d():
+    for d in SQUAREFREE:
+        k = make_field(d)
+        assert k.primes == factorize(d).primes()
+        assert k.discriminant_primes() == factorize(k.discriminant).primes()
+        for m in (-15, -2, -1, 1, 6, 35):
+            assert k.symbol_places(m) == relevant_places(m, d)
+    assert make_field(30) == make_field(30)
+    assert hash(make_field(30)) == hash(make_field(30))
+    assert repr(make_field(30)) == "ImagQuadField(d=30)"
 
 
 def test_ring_generator_descriptor():
