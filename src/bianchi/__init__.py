@@ -48,7 +48,6 @@ from .quadfield import (
     ImagQuadField,
     NonSquarefreeError,
     SplitType,
-    is_global_norm,
     is_ideal_norm,
     make_field,
     splitting,
@@ -103,7 +102,6 @@ __all__ = [
     "ImagQuadField",
     "NonSquarefreeError",
     "SplitType",
-    "is_global_norm",
     "is_ideal_norm",
     "make_field",
     "splitting",

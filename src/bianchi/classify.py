@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .arith import hilbert_symbol
-from .orders import (
-    LambdaLike,
-    _lam,
-    automorphism_index,
-    global_embedding_count,
-)
+from .orders import HilbertCharacter, LambdaLike, _lam, embedding_class_counts
 from .quadfield import ImagQuadField, is_ideal_norm
 from .quaternion import SubgroupKind, group_algebra, sigma
 
@@ -72,8 +66,7 @@ def contains_in_order(kind: SubgroupKind, lam_M: LambdaLike, d: FieldLike) -> bo
         )
     data = group_algebra(kind)
     a = sigma(data.algebra) * data.lambda_of_group_order * lam_M.value
-    unramified = [v for v in k.symbol_places(a) if v not in data.algebra.ramified]
-    return all(hilbert_symbol(a, -k.d, v) == 1 for v in unramified)
+    return HilbertCharacter.of_square_class(a, k).minus_places <= data.algebra.ramified
 
 
 def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
@@ -125,21 +118,20 @@ def gamma(kind: SubgroupKind, d: FieldLike) -> int:
 
 
 def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
-    """The same count along the independent embedding path:
-    2 * C(group order) * [Aut : Inn of the maximal order] / (group aut index).
+    """The same count along the independent embedding path: B1 / (group aut
+    index), with B1 = 2 * C(group order) * [Aut : Inn of the maximal order]
+    from ``embedding_class_counts``.
     """
     k = _field(d)
     data = group_algebra(kind)
     if kind is SubgroupKind.D2MAX:
         host_algebra_split(kind, k)  # raises for d = 3 mod 4
-    C = global_embedding_count(data.lambda_of_group_order, data.algebra, k)
-    index = automorphism_index(data.algebra, k)
-    num = 2 * C * index
-    if num % data.aut_index:
+    _, B1 = embedding_class_counts(data.lambda_of_group_order, data.algebra, k)
+    if B1 % data.aut_index:
         raise GammaMismatchError(
-            f"embedding-path count {num} not divisible by {data.aut_index}"
+            f"embedding-path count {B1} not divisible by {data.aut_index}"
         )
-    return num // data.aut_index
+    return B1 // data.aut_index
 
 
 def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:

@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional, Sequence
 
-from .arith import factorize, hilbert_symbol, is_squarefree
+from .arith import factorize, hilbert_symbol
 from .classify import (
     ClassificationReport,
     GammaMismatchError,
@@ -37,6 +37,7 @@ from .quaternion import (
 )
 from .oracle import PrecisionError, count_maximal_orders_local, find_subgroup
 from .oracle.localtree import _smallest_nonresidue
+from .oracle.subgroups import MAX_HEIGHT
 
 SCHEMA_VERSION = "1.0"
 
@@ -79,8 +80,21 @@ def _check_dmax(dmax: Optional[int]) -> None:
         raise UsageError("--dmax must lie in 1..10^6")
 
 
-def _squarefree_range(dmax: int) -> list[int]:
-    return [d for d in range(1, dmax + 1) if is_squarefree(d)]
+def _check_height(height: Optional[int]) -> None:
+    """None stands for the default height."""
+    if height is not None and not 1 <= height <= MAX_HEIGHT:
+        raise UsageError(f"--height must lie in 1..{MAX_HEIGHT}")
+
+
+def _squarefree_range(dmax: int) -> list[ImagQuadField]:
+    """The fields of the squarefree d in 1..dmax; each d is factored once."""
+    fields = []
+    for d in range(1, dmax + 1):
+        try:
+            fields.append(ImagQuadField(d))
+        except NonSquarefreeError:
+            pass
+    return fields
 
 
 def _report_payload(report: ClassificationReport) -> dict:
@@ -125,11 +139,11 @@ def _render_report_table(report: ClassificationReport) -> str:
     return "\n".join(lines)
 
 
-def _scan_row(d: int) -> dict:
-    return _report_payload(classify_report(d))
+def _scan_row(k: ImagQuadField) -> dict:
+    return _report_payload(classify_report(k))
 
 
-def _pool_map(fn, items: Sequence[int], workers: int) -> Iterable:
+def _pool_map(fn, items: Sequence[ImagQuadField], workers: int) -> Iterable:
     if workers <= 1 or len(items) < 64:
         yield from map(fn, items)
         return
@@ -156,14 +170,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if bad:
             raise UsageError(f"unknown kinds: {','.join(bad)} (use d3,t,d2)")
         kinds = tuple(k for k in _KIND_ORDER if k.value in names)
-    ds = _squarefree_range(args.dmax)
+    fields = _squarefree_range(args.dmax)
     totals = {k.value: 0 for k in kinds}
     rows = []
     json_mode = args.format == "json"
     if not json_mode:
         header = "d      " + "".join(f"{k.value:<5}" for k in kinds) + "gamma"
         print(header)
-    for payload in _pool_map(_scan_row, ds, _workers()):
+    for payload in _pool_map(_scan_row, fields, _workers()):
         by_kind = {e["kind"]: e for e in payload["kinds"]}
         for k in kinds:
             if by_kind[k.value]["exists"]:
@@ -194,7 +208,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
     else:
         summary = ", ".join(f"{k.value}: {totals[k.value]}" for k in kinds)
-        print(f"-- {len(ds)} squarefree d <= {args.dmax}; present for {summary}")
+        print(f"-- {len(fields)} squarefree d <= {args.dmax}; present for {summary}")
     return 0
 
 
@@ -239,10 +253,9 @@ def _suite_reciprocity(args: argparse.Namespace) -> list[str]:
     return failures
 
 
-def _existence_failures_at(d: int) -> list[str]:
-    k = ImagQuadField(d)
+def _existence_failures_at(k: ImagQuadField) -> list[str]:
     return [
-        f"symbol/congruence mismatch: {kind.value}, d={d}"
+        f"symbol/congruence mismatch: {kind.value}, d={k.d}"
         for kind in _KIND_ORDER
         if contains_in_order(kind, 1, k) != contains_in_psl2o(kind, k)
     ]
@@ -250,12 +263,11 @@ def _existence_failures_at(d: int) -> list[str]:
 
 def _suite_existence(args: argparse.Namespace) -> list[str]:
     dmax = 1000 if args.dmax is None else args.dmax
-    ds = _squarefree_range(dmax)
-    return [f for rows in _pool_map(_existence_failures_at, ds, _workers()) for f in rows]
+    ks = _squarefree_range(dmax)
+    return [f for rows in _pool_map(_existence_failures_at, ks, _workers()) for f in rows]
 
 
-def _gamma_failures_at(d: int) -> list[str]:
-    k = ImagQuadField(d)
+def _gamma_failures_at(k: ImagQuadField) -> list[str]:
     failures = []
     for kind in _KIND_ORDER:
         try:
@@ -269,8 +281,8 @@ def _gamma_failures_at(d: int) -> list[str]:
 
 def _suite_gamma(args: argparse.Namespace) -> list[str]:
     dmax = 500 if args.dmax is None else args.dmax
-    ds = _squarefree_range(dmax)
-    return [f for rows in _pool_map(_gamma_failures_at, ds, _workers()) for f in rows]
+    ks = _squarefree_range(dmax)
+    return [f for rows in _pool_map(_gamma_failures_at, ks, _workers()) for f in rows]
 
 
 def _suite_autindex(args: argparse.Namespace) -> list[str]:
@@ -283,18 +295,17 @@ def _suite_autindex(args: argparse.Namespace) -> list[str]:
         from_hilbert_pair(2, 5),
         from_hilbert_pair(-1, 7),
     ]
-    for d in _squarefree_range(dmax):
-        k = ImagQuadField(d)
+    for k in _squarefree_range(dmax):
         for F in algebras:
             sk = sigma_k(F, k)
             r = len(factorize(sk).primes()) if sk > 1 else 0
             n_trivial = len(unit_character_divisors(F, k))
             s_enum = n_trivial.bit_length() - 1
             if 1 << s_enum != n_trivial:
-                failures.append(f"divisor count not a power of 2: d={d}, {F}")
+                failures.append(f"divisor count not a power of 2: d={k.d}, {F}")
                 continue
             if s_enum != r - ramified_pairing_rank(F, k):
-                failures.append(f"s-count/rank mismatch: d={d}, {F}")
+                failures.append(f"s-count/rank mismatch: d={k.d}, {F}")
     return failures
 
 
@@ -302,17 +313,17 @@ def _suite_subgroups(args: argparse.Namespace) -> list[str]:
     dmax = 30 if args.dmax is None else args.dmax
     height = 10 if args.height is None else args.height
     failures = []
-    for d in _squarefree_range(dmax):
+    for k in _squarefree_range(dmax):
         for kind in _KIND_ORDER:
-            predicted = contains_in_psl2o(kind, d)
-            witness = find_subgroup(kind, d, height)
+            predicted = contains_in_psl2o(kind, k)
+            witness = find_subgroup(kind, k.d, height)
             if predicted and witness is None:
                 failures.append(
-                    f"search exhausted but existence predicted: {kind.value}, d={d}"
+                    f"search exhausted but existence predicted: {kind.value}, d={k.d}"
                 )
             if not predicted and witness is not None:
                 failures.append(
-                    f"witness found but nonexistence predicted: {kind.value}, d={d}"
+                    f"witness found but nonexistence predicted: {kind.value}, d={k.d}"
                 )
     return failures
 
@@ -358,8 +369,7 @@ _SUITES = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_dmax(args.dmax)
-    if args.height is not None and args.height < 1:
-        raise UsageError("--height must be >= 1")
+    _check_height(args.height)
     failures = _SUITES[args.suite](args)
     if failures:
         for line in failures:
@@ -371,6 +381,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
+    _check_height(args.height)
     height = args.height if args.height is not None else 10
     results = {}
     for kind in _KIND_ORDER:

@@ -17,11 +17,12 @@ from .arith import (
     Place,
     factorize,
     hilbert_symbol,
+    relevant_places,
     squarefree_part,
     valuation,
 )
 from .quadfield import ImagQuadField, SplitType, is_ideal_norm, splitting
-from .quaternion import QuaternionAlgebraQ, local_symbol, sigma, sigma_k
+from .quaternion import QuaternionAlgebraQ, embeds_in_common_extension, sigma, sigma_k
 
 
 class IncompatibleIndexError(ValueError):
@@ -77,16 +78,13 @@ class HilbertCharacter:
 
     @classmethod
     def of_square_class(cls, m: int, k: ImagQuadField) -> "HilbertCharacter":
-        """The character v -> (m, -d)_v."""
-        minus = frozenset(
-            v for v in k.symbol_places(m) if hilbert_symbol(m, -k.d, v) == -1
-        )
-        return cls(minus)
+        """The character v -> (m, -d)_v, the one evaluator of that symbol.
 
-
-def character_is_trivial(m: int, k: ImagQuadField) -> bool:
-    """(m, -d)_v = +1 at every place of Q."""
-    return all(hilbert_symbol(m, -k.d, v) == 1 for v in k.symbol_places(m))
+        It can be -1 only at oo, 2 and the primes of m and d, so only those
+        places are evaluated; d's places are read from the field.
+        """
+        places = {*relevant_places(m), *k.places}
+        return cls(frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1))
 
 
 def squarefree_divisors(n: int) -> list[int]:
@@ -126,7 +124,8 @@ def maximal_orders_isomorphic(
     """
     m = squarefree_part(_lam(lam1).value * _lam(lam2).value)
     return any(
-        character_is_trivial(f * m, k) for f in squarefree_divisors(sigma_k(F, k))
+        HilbertCharacter.of_square_class(f * m, k).is_trivial
+        for f in squarefree_divisors(sigma_k(F, k))
     )
 
 
@@ -141,14 +140,8 @@ def intersection_character(
     """
     if sigma_k(F, k) != 1:
         raise ValueError("F does not embed in M2(k): sigma_k(F) != 1")
-    lam_M = _lam(lam_M)
-    sweep = set(k.symbol_places(sigma(F) * lam_M.value)) | F.ramified
-    minus = frozenset(
-        v
-        for v in sweep
-        if local_symbol(F, v) * hilbert_symbol(sigma(F) * lam_M.value, -k.d, v) == -1
-    )
-    return HilbertCharacter(minus)
+    m = sigma(F) * _lam(lam_M).value
+    return HilbertCharacter(F.ramified) * HilbertCharacter.of_square_class(m, k)
 
 
 def joint_intersection_factor(
@@ -167,7 +160,7 @@ def joint_intersection_factor(
     Returns None when no divisor satisfies the identity, which signals
     inconsistent input data.
     """
-    if sigma_k(F, k) != sigma_k(F2, k):
+    if not embeds_in_common_extension(F, F2, k):
         raise ValueError("no common extension: sigma_k values differ")
     base = (
         sigma(F)
@@ -176,13 +169,9 @@ def joint_intersection_factor(
         * sigma(F2)
         * _lam(lam_F2).value
     )
-    sweep = set(k.symbol_places(base, sigma_k(F, k))) | F.ramified | F2.ramified
+    target = HilbertCharacter(F.ramified ^ F2.ramified)
     for f in squarefree_divisors(sigma_k(F, k)):
-        if all(
-            hilbert_symbol(base * f, -k.d, v)
-            == local_symbol(F, v) * local_symbol(F2, v)
-            for v in sweep
-        ):
+        if HilbertCharacter.of_square_class(base * f, k) == target:
             return f
     return None
 
@@ -275,7 +264,9 @@ def global_embedding_count(
 def unit_character_divisors(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
     """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place."""
     return [
-        f for f in squarefree_divisors(sigma_k(F, k)) if character_is_trivial(f, k)
+        f
+        for f in squarefree_divisors(sigma_k(F, k))
+        if HilbertCharacter.of_square_class(f, k).is_trivial
     ]
 
 

@@ -1,18 +1,11 @@
-"""Imaginary quadratic fields Q(i*sqrt(d)): discriminant, splitting, norm tests."""
+"""Imaginary quadratic fields Q(i*sqrt(d)): discriminant, splitting, ideal norms."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
 
-from .arith import (
-    Place,
-    factorize,
-    hilbert_symbol,
-    kronecker,
-    relevant_places,
-    squarefree_part,
-)
+from .arith import Place, factorize, kronecker
 
 
 class NonSquarefreeError(ValueError):
@@ -33,12 +26,14 @@ class ImagQuadField:
     d = 3 mod 4 and omega = i*sqrt(d) otherwise; the discriminant is D = -d
     in the first case and D = -4d in the second.
 
-    The field carries the primes of d, ascending, in ``primes``: d is
-    factored once, when the field is built. Equality and hash are by d.
+    The field carries the primes of d, ascending, in ``primes`` and their
+    places in ``places``: d is factored once, when the field is built.
+    Equality and hash are by d.
     """
 
     d: int
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    places: tuple[Place, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -47,6 +42,7 @@ class ImagQuadField:
         if any(e > 1 for _, e in fac.factors):
             raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
         object.__setattr__(self, "primes", fac.primes())
+        object.__setattr__(self, "places", tuple(map(Place, self.primes)))
 
     @property
     def discriminant(self) -> int:
@@ -64,21 +60,9 @@ class ImagQuadField:
     def discriminant_primes(self) -> tuple[int, ...]:
         return self.primes if self.d % 4 in (2, 3) else (2,) + self.primes
 
-    def symbol_places(self, *values: int) -> list[Place]:
-        """Places where (m, -d)_v can be -1 for m a product of the values:
-        those of ``relevant_places(*values, d)``, with d's primes read from
-        ``primes`` instead of factoring d again."""
-        places = {*relevant_places(*values), *map(Place, self.primes)}
-        return sorted(places, key=Place.sort_key)
 
-
-def make_field(d: int, *, reduce: bool = False) -> ImagQuadField:
-    """Build Q(i*sqrt(d)). Non-squarefree d is rejected unless reduce=True,
-    in which case d is explicitly replaced by its squarefree part."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    if reduce:
-        d = squarefree_part(d)
+def make_field(d: int) -> ImagQuadField:
+    """Build Q(i*sqrt(d)); d must be a squarefree positive integer."""
     return ImagQuadField(d)
 
 
@@ -101,16 +85,5 @@ def is_ideal_norm(lam: int, k: ImagQuadField) -> bool:
         raise ValueError(f"lam must be positive, got {lam}")
     for p, e in factorize(lam).factors:
         if e % 2 and splitting(k, p) is SplitType.INERT:
-            return False
-    return True
-
-
-def is_global_norm(lam: int, k: ImagQuadField) -> bool:
-    """Whether lam is a norm from k^x, by Minkowski-Hasse: (lam, -d)_v = +1
-    at every place, with only v in {oo, 2} u primes(lam*d) needing a check."""
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    for v in k.symbol_places(lam):
-        if hilbert_symbol(lam, -k.d, v) != 1:
             return False
     return True

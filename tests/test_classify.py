@@ -1,8 +1,6 @@
-import sys
-
 import pytest
 
-from bianchi.arith import factorize, is_squarefree
+from bianchi.arith import factorize, is_prime, is_squarefree
 from bianchi.classify import (
     GammaMismatchError,
     NoHostOrderError,
@@ -203,16 +201,15 @@ def test_classify_report_raises_when_gamma_paths_differ(monkeypatch):
         classify_report(5)
 
 
-def test_classify_report_factors_d_once(monkeypatch):
+def test_classify_report_factors_d_once(record_calls):
     d = 10000000019
-    seen = []
+    seen = record_calls(factorize)
+    classify_report(d)
+    assert seen.count(d) == 1
 
-    def counting(n):
-        seen.append(abs(n))
-        return factorize(n)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("bianchi") and getattr(mod, "factorize", None) is factorize:
-            monkeypatch.setattr(mod, "factorize", counting)
+def test_classify_report_tests_primality_of_d_once(record_calls):
+    d = 10000000019
+    seen = record_calls(is_prime)
     classify_report(d)
     assert seen.count(d) == 1

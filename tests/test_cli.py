@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bianchi.arith import factorize
 from bianchi.classify import gamma_composed
 from bianchi.cli import main
 
@@ -144,3 +145,24 @@ def test_verify_rejects_height_below_one(capsys):
     code, out, err = run(capsys, "verify", "--suite", "subgroups", "--height", "0")
     assert code == 2
     assert "--height" in err and "pass" not in out
+
+
+def test_height_outside_search_range_is_a_usage_error(capsys):
+    for argv in (
+        ("verify", "--suite", "subgroups", "--height", "17"),
+        ("oracle", "subgroups", "--d", "1", "--height", "0"),
+        ("oracle", "subgroups", "--d", "1", "--height", "17"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "--height" in err and out == "", argv
+
+
+def test_scan_factors_each_d_once(capsys, monkeypatch, record_calls):
+    monkeypatch.setenv("BIANCHI_THREADS", "1")
+    seen = record_calls(factorize)
+    code, _, _ = run(capsys, "scan", "--dmax", "100", "--format", "json")
+    assert code == 0
+    # every report also factors its indices and symbol arguments, which lie
+    # in {1, 2, 3}; from 4 on, a factorization of n is one of d = n
+    assert all(seen.count(d) == 1 for d in range(4, 101))

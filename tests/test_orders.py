@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bianchi.arith import Place, is_squarefree, squarefree_part
 from bianchi.orders import (
@@ -32,6 +34,7 @@ from solver_oracle import hilbert_symbol_by_search
 
 FD3 = group_algebra(SubgroupKind.D3).algebra
 FT = group_algebra(SubgroupKind.T).algebra
+SQUAREFREE = [d for d in range(1, 101) if is_squarefree(d)]
 
 
 def test_lambda_class_validation():
@@ -75,7 +78,7 @@ def _admissible_classes(F, k, bound=15):
     ]
 
 
-@pytest.mark.parametrize("d", [d for d in range(1, 101) if is_squarefree(d)])
+@pytest.mark.parametrize("d", SQUAREFREE)
 @pytest.mark.parametrize("F", [MATRIX_ALGEBRA, FD3, FT])
 def test_isomorphism_is_equivalence_relation(d, F):
     k = make_field(d)
@@ -130,6 +133,38 @@ def test_character_triple_product(d):
             prod = intersection_character(F, a, k) * intersection_character(F, b, k)
             m = squarefree_part(a.value * b.value)
             assert prod == HilbertCharacter.of_square_class(m, k)
+
+
+def _is_norm(n, k):
+    # Hasse: n is a norm from k^x iff (n, -d)_v = +1 at every place
+    return HilbertCharacter.of_square_class(n, k).is_trivial
+
+
+def test_trivial_character_examples():
+    assert _is_norm(1, make_field(1))
+    assert not _is_norm(-1, make_field(1))
+    assert not _is_norm(3, make_field(5))
+
+
+@given(
+    st.sampled_from(SQUAREFREE),
+    st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0),
+    st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0),
+)
+def test_trivial_character_square_invariance(d, lam, mu):
+    k = make_field(d)
+    assert _is_norm(lam * lam * mu, k) == _is_norm(mu, k)
+
+
+def test_norm_form_values_have_trivial_character():
+    # x^2 + d*y^2 values must pass the local-global test
+    for d in (1, 2, 3, 5, 6, 7, 10):
+        k = make_field(d)
+        for x in range(6):
+            for y in range(6):
+                n = x * x + d * y * y
+                if n:
+                    assert _is_norm(n, k), (d, n)
 
 
 def test_joint_intersection_factor_examples():

@@ -2,11 +2,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi.arith import factorize, is_prime, is_squarefree, relevant_places
+from bianchi.arith import (
+    Place,
+    factorize,
+    hilbert_symbol,
+    is_prime,
+    is_squarefree,
+    relevant_places,
+)
+from bianchi.orders import HilbertCharacter
 from bianchi.quadfield import (
     NonSquarefreeError,
     SplitType,
-    is_global_norm,
     is_ideal_norm,
     make_field,
     splitting,
@@ -25,7 +32,6 @@ def test_make_field_examples():
 def test_make_field_strictness():
     with pytest.raises(NonSquarefreeError):
         make_field(12)
-    assert make_field(12, reduce=True).d == 3
     with pytest.raises(ValueError):
         make_field(0)
 
@@ -35,8 +41,12 @@ def test_field_carries_the_primes_of_d():
         k = make_field(d)
         assert k.primes == factorize(d).primes()
         assert k.discriminant_primes() == factorize(k.discriminant).primes()
+        assert k.places == tuple(map(Place, k.primes))
         for m in (-15, -2, -1, 1, 6, 35):
-            assert k.symbol_places(m) == relevant_places(m, d)
+            reference = {
+                v for v in relevant_places(m, d) if hilbert_symbol(m, -d, v) == -1
+            }
+            assert HilbertCharacter.of_square_class(m, k).minus_places == reference
     assert make_field(30) == make_field(30)
     assert hash(make_field(30)) == hash(make_field(30))
     assert repr(make_field(30)) == "ImagQuadField(d=30)"
@@ -94,30 +104,3 @@ def test_is_ideal_norm_multiplicative_on_coprimes(d, a, b):
         return
     k = make_field(d)
     assert is_ideal_norm(a * b, k) == (is_ideal_norm(a, k) and is_ideal_norm(b, k))
-
-
-def test_is_global_norm_examples():
-    assert is_global_norm(1, make_field(1))
-    assert not is_global_norm(-1, make_field(1))
-    assert not is_global_norm(3, make_field(5))
-
-
-@given(
-    st.sampled_from(SQUAREFREE),
-    st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0),
-    st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0),
-)
-def test_is_global_norm_square_invariance(d, lam, mu):
-    k = make_field(d)
-    assert is_global_norm(lam * lam * mu, k) == is_global_norm(mu, k)
-
-
-def test_global_norms_are_values_of_the_norm_form():
-    # x^2 + d*y^2 values must pass the local-global test
-    for d in (1, 2, 3, 5, 6, 7, 10):
-        k = make_field(d)
-        for x in range(6):
-            for y in range(6):
-                n = x * x + d * y * y
-                if n:
-                    assert is_global_norm(n, k), (d, n)
