@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
-import numpy as np
-
 from ..quadfield import ImagQuadField  # validates d squarefree
 from ..quaternion import SubgroupKind
 
 MAX_HEIGHT = 16
+# entries of the largest temporary array in the torsion pass and the pair search
+_CHUNK = 2**18
 
 Pair = tuple[int, int]
 Flat = tuple[int, int, int, int, int, int, int, int]
@@ -80,29 +80,17 @@ def _omul(z1: Pair, z2: Pair, s: int, t: int) -> Pair:
     return (x1 * x2 + t * yy, x1 * y2 + y1 * x2 + s * yy)
 
 
-def _oconj(z: Pair, s: int) -> Pair:
-    # conj(omega) = s - omega
-    x, y = z
-    return (x + s * y, -y)
-
-
-def _onorm(z: Pair, s: int, t: int) -> int:
-    x, y = z
-    return x * x + s * x * y - t * y * y
-
-
 def _mmul(A: Flat, B: Flat, s: int, t: int) -> Flat:
-    a1, b1, c1, d1 = A[0:2], A[2:4], A[4:6], A[6:8]
-    a2, b2, c2, d2 = B[0:2], B[2:4], B[4:6], B[6:8]
-
-    def add(u: Pair, v: Pair) -> Pair:
-        return (u[0] + v[0], u[1] + v[1])
-
+    a0, a1, b0, b1, c0, c1, d0, d1 = A
+    e0, e1, f0, f1, g0, g1, h0, h1 = B
+    # the omega^2 = s*omega + t parts of the four entries
+    ae, af = a1 * e1 + b1 * g1, a1 * f1 + b1 * h1
+    ce, cf = c1 * e1 + d1 * g1, c1 * f1 + d1 * h1
     return (
-        *add(_omul(a1, a2, s, t), _omul(b1, c2, s, t)),
-        *add(_omul(a1, b2, s, t), _omul(b1, d2, s, t)),
-        *add(_omul(c1, a2, s, t), _omul(d1, c2, s, t)),
-        *add(_omul(c1, b2, s, t), _omul(d1, d2, s, t)),
+        a0 * e0 + b0 * g0 + t * ae, a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0 + s * ae,
+        a0 * f0 + b0 * h0 + t * af, a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0 + s * af,
+        c0 * e0 + d0 * g0 + t * ce, c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0 + s * ce,
+        c0 * f0 + d0 * h0 + t * cf, c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0 + s * cf,
     )
 
 
@@ -124,54 +112,105 @@ def _scalar(n: int) -> Flat:
     return (n, 0, 0, 0, 0, 0, n, 0)
 
 
+def _exact_ring(d: int, H: int) -> tuple[int, int]:
+    """The ring constants (s, t) of a search with height bound H, once d is
+    squarefree, H lies in 0..MAX_HEIGHT and both numeric kernels are exact.
+
+    Let T = |t| >= 1; s is 0 or 1, and every coordinate of alpha, beta,
+    gamma and delta is at most H in size.
+
+    * Torsion pass, int64. n = alpha*delta - 1 has |n_x| <= (2 + T)*H^2 <=
+      3*T*H^2 and |n_y| <= 3*H^2, conj(beta) has coordinates at most 2H and
+      H, and N(beta) <= 3*T*H^2. Each product in q = n*conj(beta), t*n_y
+      included, is then at most 8*T*H^3, and |q| <= 16*T*H^3 < 2^63.
+    * Pair search, float64. Every entry of the trace forms is at most T, so
+      each entry of vec(V) times a form is at most 8*T*H, and every sum
+      vec(U).M.vec(V), partial sums included, is at most 64*T*H^2 < 2^53.
+
+    For H <= 16 the second bound is the tighter one: it admits T < 2^39 at
+    H = 16, and so every d <= 10^6.
+    """
+    ImagQuadField(d)
+    if not 0 <= H <= MAX_HEIGHT:
+        raise ValueError(f"height bound must lie in 0..{MAX_HEIGHT}, got {H}")
+    s, t = _ring_constants(d)
+    if 16 * abs(t) * H**3 >= 2**63 or 64 * abs(t) * H**2 >= 2**53:
+        raise ValueError(
+            f"d={d} at height {H} lies beyond the exact range of the search"
+        )
+    return s, t
+
+
 @lru_cache(maxsize=None)
 def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
-    """Sorted trace-0 and trace-1 determinant-1 matrices within the box."""
+    """Sorted trace-0 and trace-1 determinant-1 matrices within the box.
+
+    For each alpha and trace, delta is fixed and alpha*delta - beta*gamma = 1
+    leaves gamma = n*conj(beta)/N(beta) with n = alpha*delta - 1, so one
+    int64 pass over the (alpha, beta) grid keeps the exact divisions whose
+    gamma lies in the box; n = 0 also admits beta = 0 with any gamma.
+    """
+    import numpy as np
+
     s, t = _ring_constants(d)
+    side = np.arange(-H, H + 1, dtype=np.int64)
+    box_x = np.repeat(side, len(side))
+    box_y = np.tile(side, len(side))
     box = [(x, y) for x in range(-H, H + 1) for y in range(-H, H + 1)]
-    nonzero = [z for z in box if z != (0, 0)]
-    out0: set[Flat] = set()
-    out1: set[Flat] = set()
-    for tr, out in ((0, out0), (1, out1)):
-        for alpha in box:
-            delta = (tr - alpha[0], -alpha[1])
-            if abs(delta[0]) > H:
-                continue
-            prod = _omul(alpha, delta, s, t)
-            n = (prod[0] - 1, prod[1])
-            if n == (0, 0):
-                # beta = 0 and gamma arbitrary
-                for gamma in box:
-                    out.add((*alpha, 0, 0, *gamma, *delta))
-            for beta in nonzero:
-                nb = _onorm(beta, s, t)
-                q = _omul(n, _oconj(beta, s), s, t)
-                if q[0] % nb or q[1] % nb:
-                    continue
-                gamma = (q[0] // nb, q[1] // nb)
-                if abs(gamma[0]) > H or abs(gamma[1]) > H:
-                    continue
-                out.add((*alpha, *beta, *gamma, *delta))
-    return tuple(sorted(out0)), tuple(sorted(out1))
+    nonzero = (box_x != 0) | (box_y != 0)
+    bx, by = box_x[nonzero], box_y[nonzero]
+    cx, cy = bx + s * by, -by  # conj(beta), as conj(omega) = s - omega
+    nb = bx * bx + s * bx * by - t * by * by  # N(beta) > 0
+    step = max(1, _CHUNK // max(1, len(bx)))
+    out: tuple[list[Flat], list[Flat]] = ([], [])
+    for tr, found in zip((0, 1), out):
+        keep = np.abs(tr - box_x) <= H
+        ax, ay = box_x[keep], box_y[keep]
+        dx, dy = tr - ax, -ay
+        yy = ay * dy
+        nx = ax * dx + t * yy - 1
+        ny = ax * dy + ay * dx + s * yy
+        for i in np.flatnonzero((nx == 0) & (ny == 0)).tolist():
+            alpha, delta = (int(ax[i]), int(ay[i])), (int(dx[i]), int(dy[i]))
+            found.extend((*alpha, 0, 0, *gamma, *delta) for gamma in box)
+        for lo in range(0, len(ax), step):
+            n_x, n_y = nx[lo : lo + step, None], ny[lo : lo + step, None]
+            qx = n_x * cx + t * n_y * cy
+            qy = n_x * cy + n_y * cx + s * n_y * cy
+            gx, gy = qx // nb, qy // nb
+            hit = (qx % nb == 0) & (qy % nb == 0) & (np.abs(gx) <= H) & (np.abs(gy) <= H)
+            i, j = np.nonzero(hit)
+            i += lo
+            rows = np.stack(
+                [ax[i], ay[i], bx[j], by[j], gx[hit], gy[hit], dx[i], dy[i]], axis=1
+            )
+            found.extend(map(tuple, rows.tolist()))
+    return tuple(sorted(out[0])), tuple(sorted(out[1]))
 
 
 def enumerate_torsion_elements(d: int, H: int) -> list[OMatrix]:
     """All A in SL2(o) with |x|, |y| <= H in every entry and trace in
     {0, +1, -1}, without duplicates."""
-    ImagQuadField(d)
-    if not 0 <= H <= MAX_HEIGHT:
-        raise ValueError(f"height bound must lie in 0..{MAX_HEIGHT}, got {H}")
+    _exact_ring(d, H)
     t0, t1 = _torsion_flat(d, H)
     flats = set(t0) | set(t1) | {_mneg(m) for m in t1}
     return [OMatrix.from_flat(m) for m in sorted(flats)]
 
 
-def _trace_uv_forms(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """8x8 integer forms with vec(U).M.vec(V) = the two coordinates of
-    trace(U*V)."""
+def _candidate_pairs(
+    left: tuple[Flat, ...], right: tuple[Flat, ...], d: int
+) -> Iterator[tuple[Flat, Flat]]:
+    """Pairs (U, V) with trace(U*V) = 0, in lexicographic order.
+
+    The two coordinates of trace(U*V) are vec(U).M.vec(V) for two 8x8
+    integer forms M, evaluated in float64 within the bound of _exact_ring.
+    """
+    if not left or not right:
+        return
+    import numpy as np
+
     s, t = _ring_constants(d)
-    Mx = np.zeros((8, 8), dtype=np.int64)
-    My = np.zeros((8, 8), dtype=np.int64)
+    Mx, My = np.zeros((8, 8)), np.zeros((8, 8))
     # trace(UV) = aU*aV + bU*cV + cU*bV + dU*dV, entry slots (a,b,c,d)=(0,2,4,6)
     for i, j in ((0, 0), (2, 4), (4, 2), (6, 6)):
         Mx[i][j] += 1
@@ -179,21 +218,11 @@ def _trace_uv_forms(d: int) -> tuple[np.ndarray, np.ndarray]:
         My[i][j + 1] += 1
         My[i + 1][j] += 1
         My[i + 1][j + 1] += s
-    return Mx, My
-
-
-def _candidate_pairs(
-    left: tuple[Flat, ...], right: tuple[Flat, ...], d: int
-) -> Iterator[tuple[Flat, Flat]]:
-    """Pairs (U, V) with trace(U*V) = 0, in lexicographic order."""
-    if not left or not right:
-        return
-    Mx, My = _trace_uv_forms(d)
     A = np.array(left, dtype=np.float64)
     B = np.array(right, dtype=np.float64)
-    BxT = (B @ Mx.T.astype(np.float64)).T
-    ByT = (B @ My.T.astype(np.float64)).T
-    chunk = max(1, 4_000_000 // max(1, len(right)))
+    BxT = (B @ Mx.T).T
+    ByT = (B @ My.T).T
+    chunk = max(1, _CHUNK // len(right))
     for lo in range(0, len(A), chunk):
         blk = A[lo : lo + chunk]
         zero = ((blk @ BxT) == 0.0) & ((blk @ ByT) == 0.0)
@@ -248,10 +277,7 @@ def find_subgroup(
     Absence is a value, not an error: the bound H caps the search, so None
     only certifies nonexistence within the box.
     """
-    ImagQuadField(d)
-    if not 0 <= H <= MAX_HEIGHT:
-        raise ValueError(f"height bound must lie in 0..{MAX_HEIGHT}, got {H}")
-    s, t = _ring_constants(d)
+    s, t = _exact_ring(d, H)
     t0, t1 = _torsion_flat(d, H)
     if kind is SubgroupKind.D3:
         for U, V in _candidate_pairs(t1, t0, d):

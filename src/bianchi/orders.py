@@ -66,9 +66,6 @@ class HilbertCharacter:
 
     minus_places: frozenset[Place]
 
-    def value(self, v: Place) -> int:
-        return -1 if v in self.minus_places else 1
-
     def __mul__(self, other: "HilbertCharacter") -> "HilbertCharacter":
         return HilbertCharacter(self.minus_places ^ other.minus_places)
 
@@ -279,12 +276,16 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     kernel of the pairing (the symbol (f, -d)_v can be -1 only at v | D).
     """
     sk = sigma_k(F, k)
-    qs = factorize(sk).primes() if sk > 1 else ()
+    if sk == 1:
+        return 0  # no primes q, so the pairing matrix has no columns
+    qs = factorize(sk).primes()
+    # the field holds the places of d; only 2 may need building
+    own = dict(zip(k.primes, k.places))
     rows = []
-    for p in k.discriminant_primes():
+    for v in (own.get(p) or Place(p) for p in k.discriminant_primes()):
         mask = 0
         for j, q in enumerate(qs):
-            if hilbert_symbol(q, -k.d, Place(p)) == -1:
+            if hilbert_symbol(q, -k.d, v) == -1:
                 mask |= 1 << j
         rows.append(mask)
     # Gaussian elimination over GF(2) on bitmask rows

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,22 @@ def test_scan_factors_each_d_once(capsys, monkeypatch, record_calls):
     # every report also factors its indices and symbol arguments, which lie
     # in {1, 2, 3}; from 4 on, a factorization of n is one of d = n
     assert all(seen.count(d) == 1 for d in range(4, 101))
+
+
+def test_oracle_subgroups_rejects_d_beyond_exact_range(capsys):
+    d = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+    code, out, err = run(capsys, "oracle", "subgroups", "--d", str(d))
+    assert code == 2 and out == ""
+    assert "exact range" in err
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    import bianchi
+
+    src = str(Path(bianchi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, bianchi.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,28 +1,39 @@
+import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
 from bianchi.oracle.localtree import (
     _congruence_lattice,
-    _integer_kernel,
-    _inv4,
+    _det,
+    _smallest_nonresidue,
     count_maximal_orders_local,
     enumerate_vertices,
 )
-from bianchi.quadfield import ImagQuadField
+from bianchi.orders import LocalCountQuery, local_embedding_count
+from bianchi.quadfield import ImagQuadField, SplitType
 
 
-def test_integer_kernel_random_systems():
+def test_congruence_lattice_random_systems():
     rng = random.Random(424)
-    for _ in range(50):
-        rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(3)]
-        kern = _integer_kernel(rows, 5)
-        for v in kern:
-            assert all(sum(r[i] * v[i] for i in range(5)) == 0 for r in rows)
-        # completeness: the kernel rank matches 5 - rank(rows)
-        rank = 5 - len(kern)
-        assert 0 <= rank <= 3
+    p = 3
+    for _ in range(20):
+        forms = [
+            ([rng.randint(-9, 9) for _ in range(4)], rng.randint(1, 2))
+            for _ in range(3)
+        ]
+        basis = _congruence_lattice(forms, p, 4)
+        for v in basis:
+            for g, M in forms:
+                assert sum(a * b for a, b in zip(g, v)) % p**M == 0
+        # the lattice contains (p^2 Z)^4, so its index in Z^4 is p^8 over the
+        # number of solutions mod p^2
+        mod = p**2
+        brute = sum(
+            all(sum(a * b for a, b in zip(g, x)) % p**M == 0 for g, M in forms)
+            for x in itertools.product(range(mod), repeat=4)
+        )
+        assert abs(_det(basis)) == mod**4 // brute
 
 
 def test_congruence_lattice_brute_force():
@@ -59,18 +70,25 @@ def _det3(rows):
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def test_inv4_roundtrip():
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(0), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(5), Fraction(0)],
-        [Fraction(0), Fraction(0), Fraction(1, 3), Fraction(0)],
-        [Fraction(7), Fraction(0), Fraction(0), Fraction(2)],
-    ]
-    inv = _inv4(rows)
-    for i in range(4):
-        for j in range(4):
-            entry = sum(rows[i][k] * inv[k][j] for k in range(4))
-            assert entry == (1 if i == j else 0)
+def _cofactor_det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(4)
+    for _ in range(200):
+        rows = [[rng.randint(-30, 30) for _ in range(4)] for _ in range(4)]
+        if rng.random() < 0.2:
+            rows[3] = [a - 2 * b for a, b in zip(rows[0], rows[1])]  # singular
+        if rng.random() < 0.2:
+            rows[0][0] = 0  # a zero first pivot, so rows swap
+        assert _det(rows) == _cofactor_det(rows)
+    assert _det([[0, 1], [1, 0]]) == -1
 
 
 @pytest.mark.parametrize("p,d", [(3, 3), (5, 5)])
@@ -138,3 +156,18 @@ def test_validation_errors():
         count_maximal_orders_local(3, k3, 9, 1)  # v_3(9) = 2
     with pytest.raises(ValueError):
         count_maximal_orders_local(3, k3, 0, 1)
+
+
+def test_counts_match_tables_at_p7():
+    # a wider check than verify --suite local, which covers p = 3 and 5
+    p, k = 7, ImagQuadField(7)
+    for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
+        for r in range(4):
+            expected = (
+                1
+                if r == 0
+                else local_embedding_count(
+                    LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
+                )
+            )
+            assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)

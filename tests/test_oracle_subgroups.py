@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,12 +6,16 @@ import pytest
 from bianchi.arith import is_squarefree
 from bianchi.classify import contains_in_psl2o
 from bianchi.oracle.subgroups import (
+    MAX_HEIGHT,
     OMatrix,
     SubgroupWitness,
     _mdet,
     _mmul,
+    _exact_ring,
     _mtrace,
+    _omul,
     _ring_constants,
+    _torsion_flat,
     enumerate_torsion_elements,
     find_subgroup,
     verify_witness,
@@ -18,6 +23,9 @@ from bianchi.oracle.subgroups import (
 from bianchi.quaternion import SubgroupKind
 
 KINDS = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
+
+# squarefree with t = -d: 64 * d * 10^2 >= 2^53, beyond the float64 pair search
+BEYOND_EXACT_D = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
 
 
 def _brute_force_torsion(d, H):
@@ -29,6 +37,38 @@ def _brute_force_torsion(d, H):
         if _mdet(m, s, t) == (1, 0) and _mtrace(m) in ((0, 0), (1, 0), (-1, 0)):
             out.add(m)
     return out
+
+
+def _loop_torsion(d, H):
+    """The enumeration as plain loops over alpha and beta, solving for gamma."""
+    s, t = _ring_constants(d)
+    box = [(x, y) for x in range(-H, H + 1) for y in range(-H, H + 1)]
+    out = ([], [])
+    for tr, found in zip((0, 1), out):
+        for alpha in box:
+            delta = (tr - alpha[0], -alpha[1])
+            if abs(delta[0]) > H:
+                continue
+            prod = _omul(alpha, delta, s, t)
+            n = (prod[0] - 1, prod[1])
+            for beta in box:
+                if beta == (0, 0):
+                    if n == (0, 0):
+                        found.extend((*alpha, 0, 0, *gamma, *delta) for gamma in box)
+                    continue
+                nb = beta[0] ** 2 + s * beta[0] * beta[1] - t * beta[1] ** 2
+                q = _omul(n, (beta[0] + s * beta[1], -beta[1]), s, t)
+                gamma = (q[0] // nb, q[1] // nb)
+                if q[0] % nb or q[1] % nb or max(map(abs, gamma)) > H:
+                    continue
+                found.append((*alpha, *beta, *gamma, *delta))
+    return tuple(sorted(out[0])), tuple(sorted(out[1]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 30, 1019])
+def test_torsion_pass_matches_the_loops(d):
+    for H in (0, 1, 2, 6):
+        assert _torsion_flat(d, H) == _loop_torsion(d, H), H
 
 
 def test_enumeration_examples_d1():
@@ -112,3 +152,31 @@ def test_search_agrees_with_theory_small(d):
         assert (witness is not None) == predicted, (kind, d)
         if witness is not None:
             assert verify_witness(witness, d)
+
+
+def test_torsion_digest_is_pinned():
+    # the enumeration for every squarefree d <= 30 at H = 10, element by
+    # element, as the O(H^4) Python loops produced it
+    h = hashlib.sha256()
+    for d in range(1, 31):
+        if is_squarefree(d):
+            flats = [m.flat() for m in enumerate_torsion_elements(d, 10)]
+            h.update(repr(flats).encode())
+    assert h.hexdigest() == (
+        "90e3861f856aa3f7850c51ad752ccad99c7086ac5ea9bceaa9c9844d1c8e932d"
+    )
+
+
+def test_exactness_guard_rejects_large_d():
+    with pytest.raises(ValueError, match="exact range"):
+        enumerate_torsion_elements(BEYOND_EXACT_D, 10)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="exact range"):
+            find_subgroup(kind, BEYOND_EXACT_D, 10)
+    assert _exact_ring(BEYOND_EXACT_D, 1) == (0, -BEYOND_EXACT_D)
+
+
+def test_exactness_guard_admits_every_d_up_to_a_million():
+    # |t| <= d, with equality when d is not 3 mod 4
+    d = next(d for d in range(10**6, 0, -1) if d % 4 != 3 and is_squarefree(d))
+    assert _exact_ring(d, MAX_HEIGHT) == (0, -d)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi.arith import Place, is_squarefree, squarefree_part
+from bianchi.arith import Place, is_prime, is_squarefree, squarefree_part
 from bianchi.orders import (
     HilbertCharacter,
     IncompatibleIndexError,
@@ -268,3 +268,15 @@ def test_rank_remark_matches_divisor_enumeration(d):
         s = n.bit_length() - 1
         assert 1 << s == n
         assert s == r - ramified_pairing_rank(F, k)
+
+
+@pytest.mark.parametrize("d,tested", [(14, []), (5, [2])])
+def test_ramified_pairing_rank_reuses_the_places_of_d(d, tested, record_calls):
+    # the field tested the primes of d when it was built; 2 divides the
+    # discriminant of Q(i*sqrt(5)) without dividing 5, and is tested once
+    k = make_field(d)
+    F = from_hilbert_pair(3, 5)
+    assert sigma_k(F, k) in (3, 15)
+    seen = record_calls(is_prime)
+    ramified_pairing_rank(F, k)
+    assert seen == tested
