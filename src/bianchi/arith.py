@@ -1,19 +1,43 @@
 """Exact integer arithmetic: factorization, square classes, Hilbert symbols.
 
 Everything here is pure and exact. Inputs are ordinary Python integers (or
-Fractions where a rational makes sense); trial division is the intended
-factoring strategy, which is ample for the desk-scale inputs this library
-targets.
+Fractions where a rational makes sense).
+
+Primality and factoring work in two regimes. Below ``_TRIAL_BOUND**2`` (2^20)
+both are trial division by 2, 3 and 6k +- 1: these are the numbers a range
+scan and the oracles meet, and nothing is cheaper for them. Above it,
+``is_prime`` is the Miller-Rabin test with the first twelve primes as
+witnesses, which is deterministic for every n < 3.18e23 and so for all of
+int64. ``factorize`` divides out the primes below ``_TRIAL_BOUND``, splits
+what is left with Pollard's rho in Brent's variant, and proves every prime it
+reports with ``is_prime``. Nothing is random: rho walks a fixed sequence of
+maps x -> x^2 + c.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd
 from typing import Union
 
-#: 64-bit signed inputs only; trial division makes anything larger a footgun.
+#: Largest |n| that ``factorize`` and ``is_prime`` accept: the 64-bit signed
+#: range of the CLI's ``d``. Rho factors any such n in well under a second.
 INT64_MAX = 2**63 - 1
+
+#: Trial division covers the primes below this bound, and decides primality
+#: and factorization outright below its square.
+_TRIAL_BOUND = 2**10
+_TRIAL_SQUARE = _TRIAL_BOUND * _TRIAL_BOUND
+
+#: The first twelve primes: as Miller-Rabin witnesses they admit no strong
+#: pseudoprime below 318665857834031151167461 (Sorenson and Webster 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: Rho steps whose differences share one gcd.
+_RHO_BATCH = 128
 
 Rational = Union[int, Fraction]
 
@@ -55,6 +79,14 @@ class Place:
 INFINITY = Place(None)
 
 
+def _proven_place(p: int) -> Place:
+    """The place of a prime that ``factorize`` has already proven, built
+    without testing its primality again."""
+    place = object.__new__(Place)
+    object.__setattr__(place, "p", p)
+    return place
+
+
 @dataclass(frozen=True)
 class Factorization:
     """sign * prod(p**e) with primes strictly increasing and e >= 1."""
@@ -73,23 +105,84 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (fine for n <= ~1e12)."""
-    if n < 2:
-        return False
-    if n < 4:
+    """Deterministic primality for n <= INT64_MAX: trial division below
+    2^20, Miller-Rabin with the twelve witnesses above."""
+    if n > INT64_MAX:
+        raise ValueError(f"n exceeds 2**63-1: {n}")
+    if n < _TRIAL_SQUARE:
+        if n < 4:
+            return n > 1
+        if n % 2 == 0 or n % 3 == 0:
+            return False
+        f = 5
+        while f * f <= n:
+            if n % f == 0 or n % (f + 2) == 0:
+                return False
+            f += 6
         return True
     if n % 2 == 0:
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Brent's
+    cycle finding, from x = 2 under x -> x^2 + c for c = 1, 2, ..."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch's product hit 0 mod n: redo it one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _large_factors(m: int) -> list[tuple[int, int]]:
+    """(p, e) for the primes of m, which has no prime factor below
+    _TRIAL_BOUND; every p is proven by ``is_prime``."""
+    primes = []
+    todo = [m]
+    while todo:
+        x = todo.pop()
+        if is_prime(x):
+            primes.append(x)
+        else:
+            g = _rho_divisor(x)
+            todo += (g, x // g)
+    return list(Counter(primes).items())
+
+
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero 64-bit integer by trial division."""
+    """Factor a nonzero 64-bit integer: trial division up to _TRIAL_BOUND,
+    then Brent's rho on a cofactor that trial division has not decided."""
     if n == 0:
         raise ValueError("cannot factor 0")
     if abs(n) > INT64_MAX:
@@ -106,7 +199,7 @@ def factorize(n: int) -> Factorization:
             factors.append((p, e))
     # remaining factors are >= 5; wheel over 6k+-1
     f = 5
-    while f * f <= m:
+    while f <= _TRIAL_BOUND and f * f <= m:
         for q in (f, f + 2):
             if m % q == 0:
                 e = 0
@@ -115,7 +208,10 @@ def factorize(n: int) -> Factorization:
                     e += 1
                 factors.append((q, e))
         f += 6
-    if m > 1:
+    # every prime below f is divided out, so m < f*f is 1 or a prime
+    if f * f <= m:
+        factors += _large_factors(m)
+    elif m > 1:
         factors.append((m, 1))
     factors.sort()
     return Factorization(sign, tuple(factors))
@@ -244,6 +340,6 @@ def relevant_places(*values: Rational) -> list[Place]:
     for x in values:
         n = _square_class_int(x)
         primes.update(p for p in factorize(n).primes())
-    places = [Place(p) for p in sorted(primes)]
+    places = [_proven_place(p) for p in sorted(primes)]
     places.append(INFINITY)
     return places

@@ -14,7 +14,8 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Iterator, Optional, Sequence
 
 from .arith import factorize, hilbert_symbol
 from .classify import (
@@ -56,6 +57,9 @@ _KIND_BY_NAME = {
 
 _KIND_ORDER = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
 
+#: Below this dmax a process pool costs more to start than it saves.
+_POOL_MIN_DMAX = 100
+
 
 class UsageError(Exception):
     pass
@@ -86,15 +90,15 @@ def _check_height(height: Optional[int]) -> None:
         raise UsageError(f"--height must lie in 1..{MAX_HEIGHT}")
 
 
-def _squarefree_range(dmax: int) -> list[ImagQuadField]:
-    """The fields of the squarefree d in 1..dmax; each d is factored once."""
-    fields = []
-    for d in range(1, dmax + 1):
+def _squarefree_range(lo: int, hi: int) -> Iterator[ImagQuadField]:
+    """The fields of the squarefree d in lo..hi, in order, built one at a time;
+    each d is factored once."""
+    for d in range(lo, hi + 1):
         try:
-            fields.append(ImagQuadField(d))
+            k = ImagQuadField(d)
         except NonSquarefreeError:
-            pass
-    return fields
+            continue
+        yield k
 
 
 def _report_payload(report: ClassificationReport) -> dict:
@@ -143,13 +147,23 @@ def _scan_row(k: ImagQuadField) -> dict:
     return _report_payload(classify_report(k))
 
 
-def _pool_map(fn, items: Sequence[ImagQuadField], workers: int) -> Iterable:
-    if workers <= 1 or len(items) < 64:
-        yield from map(fn, items)
+def _map_block(fn, lo: int, hi: int) -> list:
+    return [fn(k) for k in _squarefree_range(lo, hi)]
+
+
+def _pool_map(fn, dmax: int, workers: int) -> Iterator:
+    """fn of the field of each squarefree d in 1..dmax, in order of d. Pool
+    workers build the fields of their own blocks of d, so no process holds
+    the fields of the whole range."""
+    if workers <= 1 or dmax < _POOL_MIN_DMAX:
+        yield from map(fn, _squarefree_range(1, dmax))
         return
+    step = max(1, dmax // (workers * 8))
+    starts = range(1, dmax + 1, step)
+    ends = [min(lo + step - 1, dmax) for lo in starts]
     with ProcessPoolExecutor(max_workers=workers) as executor:
-        chunk = max(1, len(items) // (workers * 8))
-        yield from executor.map(fn, items, chunksize=chunk)
+        for rows in executor.map(partial(_map_block, fn), starts, ends):
+            yield from rows
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -170,14 +184,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if bad:
             raise UsageError(f"unknown kinds: {','.join(bad)} (use d3,t,d2)")
         kinds = tuple(k for k in _KIND_ORDER if k.value in names)
-    fields = _squarefree_range(args.dmax)
     totals = {k.value: 0 for k in kinds}
     rows = []
+    n_rows = 0
     json_mode = args.format == "json"
     if not json_mode:
         header = "d      " + "".join(f"{k.value:<5}" for k in kinds) + "gamma"
         print(header)
-    for payload in _pool_map(_scan_row, fields, _workers()):
+    for payload in _pool_map(_scan_row, args.dmax, _workers()):
+        n_rows += 1
         by_kind = {e["kind"]: e for e in payload["kinds"]}
         for k in kinds:
             if by_kind[k.value]["exists"]:
@@ -208,7 +223,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         )
     else:
         summary = ", ".join(f"{k.value}: {totals[k.value]}" for k in kinds)
-        print(f"-- {len(fields)} squarefree d <= {args.dmax}; present for {summary}")
+        print(f"-- {n_rows} squarefree d <= {args.dmax}; present for {summary}")
     return 0
 
 
@@ -263,8 +278,7 @@ def _existence_failures_at(k: ImagQuadField) -> list[str]:
 
 def _suite_existence(args: argparse.Namespace) -> list[str]:
     dmax = 1000 if args.dmax is None else args.dmax
-    ks = _squarefree_range(dmax)
-    return [f for rows in _pool_map(_existence_failures_at, ks, _workers()) for f in rows]
+    return [f for rows in _pool_map(_existence_failures_at, dmax, _workers()) for f in rows]
 
 
 def _gamma_failures_at(k: ImagQuadField) -> list[str]:
@@ -281,8 +295,7 @@ def _gamma_failures_at(k: ImagQuadField) -> list[str]:
 
 def _suite_gamma(args: argparse.Namespace) -> list[str]:
     dmax = 500 if args.dmax is None else args.dmax
-    ks = _squarefree_range(dmax)
-    return [f for rows in _pool_map(_gamma_failures_at, ks, _workers()) for f in rows]
+    return [f for rows in _pool_map(_gamma_failures_at, dmax, _workers()) for f in rows]
 
 
 def _suite_autindex(args: argparse.Namespace) -> list[str]:
@@ -295,7 +308,7 @@ def _suite_autindex(args: argparse.Namespace) -> list[str]:
         from_hilbert_pair(2, 5),
         from_hilbert_pair(-1, 7),
     ]
-    for k in _squarefree_range(dmax):
+    for k in _squarefree_range(1, dmax):
         for F in algebras:
             sk = sigma_k(F, k)
             r = len(factorize(sk).primes()) if sk > 1 else 0
@@ -313,7 +326,7 @@ def _suite_subgroups(args: argparse.Namespace) -> list[str]:
     dmax = 30 if args.dmax is None else args.dmax
     height = 10 if args.height is None else args.height
     failures = []
-    for k in _squarefree_range(dmax):
+    for k in _squarefree_range(1, dmax):
         for kind in _KIND_ORDER:
             predicted = contains_in_psl2o(kind, k)
             witness = find_subgroup(kind, k.d, height)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .arith import Place, factorize, kronecker
+from .arith import Place, _proven_place, factorize, kronecker
 
 
 class NonSquarefreeError(ValueError):
@@ -42,7 +42,7 @@ class ImagQuadField:
         if any(e > 1 for _, e in fac.factors):
             raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
         object.__setattr__(self, "primes", fac.primes())
-        object.__setattr__(self, "places", tuple(map(Place, self.primes)))
+        object.__setattr__(self, "places", tuple(map(_proven_place, self.primes)))
 
     @property
     def discriminant(self) -> int:

@@ -14,6 +14,7 @@ from bianchi.arith import (
     squarefree_part,
 )
 from solver_oracle import hilbert_symbol_by_search
+from trial_division import trial_factorize, trial_is_prime
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0)
 small_nonzero = st.integers(min_value=-300, max_value=300).filter(lambda n: n != 0)
@@ -48,6 +49,93 @@ def test_factorize_roundtrip(n):
     assert fac.value() == n
     assert list(fac.primes()) == sorted(set(fac.primes()))
     assert all(e >= 1 and is_prime(p) for p, e in fac.factors)
+
+
+# n up to 10^12, drawn directly and as products of two numbers above the
+# trial-division bound, so that rho has to split the cofactor
+up_to_10_12 = st.one_of(
+    st.integers(min_value=-(10**12), max_value=10**12).filter(lambda n: n != 0),
+    st.builds(
+        lambda a, b: a * b,
+        st.integers(min_value=1025, max_value=10**6),
+        st.integers(min_value=1025, max_value=10**6),
+    ),
+)
+
+
+@given(up_to_10_12)
+@settings(max_examples=200, deadline=None)
+def test_factorize_and_is_prime_match_trial_division(n):
+    assert factorize(n) == trial_factorize(n)
+    assert is_prime(n) == trial_is_prime(n)
+
+
+def _primes_near(n, count, step):
+    found = []
+    while len(found) < count:
+        if trial_is_prime(n):
+            found.append(n)
+        n += step
+    return found
+
+
+# primes on both sides of 2^31, proven by trial division
+NEAR_2_31 = _primes_near(2**31 - 1, 3, -1) + _primes_near(2**31 + 1, 3, 1)
+
+
+def test_balanced_semiprimes_near_2_62():
+    pairs = [(p, q) for p in NEAR_2_31 for q in NEAR_2_31 if p < q]
+    pairs.append((3037000453, 3037000493))  # their product is just below 2^63
+    for p, q in pairs:
+        assert trial_is_prime(p) and trial_is_prime(q)
+        assert factorize(p * q) == Factorization(1, ((p, 1), (q, 1)))
+        assert not is_prime(p * q)
+
+
+def test_prime_squares_near_2_62():
+    for p in NEAR_2_31:
+        assert factorize(p * p) == Factorization(1, ((p, 2),))
+        assert factorize(-p * p) == Factorization(-1, ((p, 2),))
+        assert not is_prime(p * p)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael numbers
+        41041,
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 23
+    ],
+)
+def test_pseudoprimes_are_composite(n):
+    assert not trial_is_prime(n)
+    assert not is_prime(n)
+    assert factorize(n) == trial_factorize(n)
+
+
+def test_largest_int64_prime():
+    n = 2**63 - 25
+    # Lucas's test: some a has order n - 1 mod n. The primes of n - 1 come
+    # from trial division, since the largest two are 319279 and 456065899.
+    qs = trial_factorize(n - 1).primes()
+    assert all(trial_is_prime(q) for q in qs)
+    assert any(
+        pow(a, n - 1, n) == 1 and all(pow(a, (n - 1) // q, n) != 1 for q in qs)
+        for a in range(2, 100)
+    )
+    assert is_prime(n)
+    assert factorize(n) == Factorization(1, ((n, 1),))
+    # every odd number above it in int64 has a prime factor below 200
+    for m in range(n + 2, 2**63, 2):
+        assert not is_prime(m)
+        assert any(m % p == 0 for p in range(3, 200, 2))
+
+
+def test_is_prime_rejects_overflow():
+    assert not is_prime(-7)
+    with pytest.raises(ValueError):
+        is_prime(2**63)
 
 
 def test_squarefree_part_examples():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,11 +44,49 @@ def test_classify_rejects_non_squarefree(capsys):
     assert "squarefree" in err
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        4611686018427388039,  # a prime near 2^62
+        9223371873002223329,  # 3037000453 * 3037000493, just below 2^63
+    ],
+)
+def test_classify_large_d_within_a_second(capsys, d):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", "--d", str(d), "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["d"] == d
+
+
+def test_classify_rejects_a_prime_square_near_2_62(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "classify", "--d", str(2147483647**2))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "squarefree" in err
+
+
 def test_scan_row_count(capsys):
     code, out, _ = run(capsys, "scan", "--dmax", "10")
     assert code == 0
     rows = [line for line in out.splitlines() if line and line[0].isdigit()]
     assert len(rows) == 7  # d in {1,2,3,5,6,7,10}
+
+
+def test_scan_on_a_pool_matches_one_worker(capsys, monkeypatch):
+    # 257 d over 3 workers: blocks of 10 d, the last one short
+    outputs = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("BIANCHI_THREADS", workers)
+        for fmt in ("json", "table"):
+            code, out, _ = run(capsys, "scan", "--dmax", "257", "--format", fmt)
+            assert code == 0
+            outputs.append(out)
+    assert outputs[:2] == outputs[2:]
+    assert [row["d"] for row in json.loads(outputs[0])["rows"]] == [
+        d for d in range(1, 258) if all(d % (p * p) for p in range(2, 17))
+    ]
 
 
 def test_scan_kinds_filter(capsys):
