@@ -3,15 +3,13 @@
 Everything here is pure and exact. Inputs are ordinary Python integers (or
 Fractions where a rational makes sense).
 
-Primality and factoring work in two regimes. Below ``_TRIAL_BOUND**2`` (2^20)
-both are trial division by 2, 3 and 6k +- 1: these are the numbers a range
-scan and the oracles meet, and nothing is cheaper for them. Above it,
 ``is_prime`` is the Miller-Rabin test with the first twelve primes as
 witnesses, which is deterministic for every n < 3.18e23 and so for all of
-int64. ``factorize`` divides out the primes below ``_TRIAL_BOUND``, splits
-what is left with Pollard's rho in Brent's variant, and proves every prime it
-reports with ``is_prime``. Nothing is random: rho walks a fixed sequence of
-maps x -> x^2 + c.
+int64. ``factorize`` trial-divides by 2, 3 and 6k +- 1 up to
+``_TRIAL_BOUND``; a cofactor below ``_TRIAL_BOUND**2`` (2^20) is then 1 or a
+prime, and a larger one is split with Pollard's rho in Brent's variant, every
+prime it reports proven with ``is_prime``. Nothing is random: rho walks a
+fixed sequence of maps x -> x^2 + c.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from typing import Union
 #: range of the CLI's ``d``. Rho factors any such n in well under a second.
 INT64_MAX = 2**63 - 1
 
-#: Trial division covers the primes below this bound, and decides primality
-#: and factorization outright below its square.
+#: ``factorize`` trial-divides by the primes below this bound, which decides
+#: every cofactor below its square.
 _TRIAL_BOUND = 2**10
-_TRIAL_SQUARE = _TRIAL_BOUND * _TRIAL_BOUND
 
 #: The first twelve primes: as Miller-Rabin witnesses they admit no strong
 #: pseudoprime below 318665857834031151167461 (Sorenson and Webster 2017).
@@ -105,23 +102,16 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n <= INT64_MAX: trial division below
-    2^20, Miller-Rabin with the twelve witnesses above."""
+    """Deterministic primality for n <= INT64_MAX: Miller-Rabin with the
+    twelve witnesses, after dividing by them."""
     if n > INT64_MAX:
         raise ValueError(f"n exceeds 2**63-1: {n}")
-    if n < _TRIAL_SQUARE:
-        if n < 4:
-            return n > 1
-        if n % 2 == 0 or n % 3 == 0:
-            return False
-        f = 5
-        while f * f <= n:
-            if n % f == 0 or n % (f + 2) == 0:
-                return False
-            f += 6
-        return True
-    if n % 2 == 0:
+    if n < 2:
         return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    # n >= 41 now, so every witness is a unit mod n
     s = ((n - 1) & (1 - n)).bit_length() - 1
     odd = (n - 1) >> s
     for a in _WITNESSES:

@@ -70,6 +70,11 @@ def test_factorize_and_is_prime_match_trial_division(n):
     assert is_prime(n) == trial_is_prime(n)
 
 
+def test_is_prime_matches_trial_division_on_small_n():
+    # the witnesses screen these before Miller-Rabin runs
+    assert [n for n in range(-2, 2**16) if is_prime(n) != trial_is_prime(n)] == []
+
+
 def _primes_near(n, count, step):
     found = []
     while len(found) < count:

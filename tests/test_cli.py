@@ -142,6 +142,18 @@ def test_oracle_local_count(capsys):
     assert json.loads(out)["count"] == 4
 
 
+def test_oracle_local_count_rejects_p_beyond_int64(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "oracle", "local-count", "--p", str(2**63 + 29), "--d", "3",
+        "--tau", "-1", "--exp", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "2**63-1" in err
+
+
 def test_oracle_subgroups(capsys):
     code, out, _ = run(capsys, "oracle", "subgroups", "--d", "2", "--height", "6")
     assert code == 0
