@@ -273,6 +273,8 @@ def kronecker(a: int, n: int) -> int:
 
 def _square_class_int(x: Rational) -> int:
     """An integer in the same rational square class as x."""
+    if type(x) is int and x:
+        return x  # the common case, without the ABC check of isinstance
     if isinstance(x, Fraction):
         if x == 0:
             raise ValueError("nonzero rational required")

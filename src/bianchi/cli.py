@@ -14,7 +14,8 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
+from math import isqrt
 from typing import Iterator, Optional, Sequence
 
 from .arith import factorize, hilbert_symbol
@@ -60,6 +61,9 @@ _KIND_ORDER = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
 #: Below this dmax a process pool costs more to start than it saves.
 _POOL_MIN_DMAX = 100
 
+#: d per segment of the squarefree sieve, which bounds its memory at any dmax
+_SIEVE_SPAN = 1 << 12
+
 
 class UsageError(Exception):
     pass
@@ -90,15 +94,39 @@ def _check_height(height: Optional[int]) -> None:
         raise UsageError(f"--height must lie in 1..{MAX_HEIGHT}")
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
 def _squarefree_range(lo: int, hi: int) -> Iterator[ImagQuadField]:
-    """The fields of the squarefree d in lo..hi, in order, built one at a time;
-    each d is factored once."""
-    for d in range(lo, hi + 1):
-        try:
-            k = ImagQuadField(d)
-        except NonSquarefreeError:
-            continue
-        yield k
+    """The fields of the squarefree d in lo..hi, in order, built one at a time
+    from a segmented sieve; no d is factored.
+
+    Each segment of _SIEVE_SPAN d divides out every prime p <= sqrt(hi) and
+    drops the d that some p^2 divides. What is left of a squarefree d is 1
+    or one prime above sqrt(hi).
+    """
+    base = _primes_upto(isqrt(hi))
+    for a in range(lo, hi + 1, _SIEVE_SPAN):
+        n = min(_SIEVE_SPAN, hi + 1 - a)
+        rest = list(range(a, a + n))  # 0 once d is known not squarefree
+        primes = [()] * n
+        for p in base:
+            for i in range(-a % (p * p), n, p * p):
+                rest[i] = 0
+            for i in range(-a % p, n, p):
+                if rest[i]:
+                    rest[i] //= p
+                    primes[i] += (p,)
+        for i, r in enumerate(rest):
+            if r:
+                ps = primes[i] + (r,) if r > 1 else primes[i]
+                yield ImagQuadField._from_primes(a + i, ps)
 
 
 def _report_payload(report: ClassificationReport) -> dict:
@@ -154,11 +182,12 @@ def _map_block(fn, lo: int, hi: int) -> list:
 def _pool_map(fn, dmax: int, workers: int) -> Iterator:
     """fn of the field of each squarefree d in 1..dmax, in order of d. Pool
     workers build the fields of their own blocks of d, so no process holds
-    the fields of the whole range."""
+    the fields of the whole range. A block is at most one sieve segment, so
+    the results that wait to be consumed stay bounded at any dmax."""
     if workers <= 1 or dmax < _POOL_MIN_DMAX:
         yield from map(fn, _squarefree_range(1, dmax))
         return
-    step = max(1, dmax // (workers * 8))
+    step = max(1, min(dmax // (workers * 8), _SIEVE_SPAN))
     starts = range(1, dmax + 1, step)
     ends = [min(lo + step - 1, dmax) for lo in starts]
     with ProcessPoolExecutor(max_workers=workers) as executor:
@@ -185,20 +214,23 @@ def cmd_scan(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown kinds: {','.join(bad)} (use d3,t,d2)")
         kinds = tuple(k for k in _KIND_ORDER if k.value in names)
     totals = {k.value: 0 for k in kinds}
-    rows = []
     n_rows = 0
     json_mode = args.format == "json"
-    if not json_mode:
+    write = sys.stdout.write
+    if json_mode:
+        # The key-sorted document is {"dmax", "rows", "schema_version",
+        # "totals"}: each row is written as it comes, the totals after them.
+        write(f'{{"dmax":{_dump(args.dmax)},"rows":[')
+    else:
         header = "d      " + "".join(f"{k.value:<5}" for k in kinds) + "gamma"
         print(header)
     for payload in _pool_map(_scan_row, args.dmax, _workers()):
-        n_rows += 1
         by_kind = {e["kind"]: e for e in payload["kinds"]}
         for k in kinds:
             if by_kind[k.value]["exists"]:
                 totals[k.value] += 1
         if json_mode:
-            rows.append(payload)
+            write(f",{_dump(payload)}" if n_rows else _dump(payload))
         else:
             marks = "".join(
                 f"{'x' if by_kind[k.value]['exists'] else '.':<5}" for k in kinds
@@ -210,17 +242,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
                 for k in kinds
             )
             print(f"{payload['d']:<7}{marks}{gammas}")
+        n_rows += 1
     if json_mode:
-        print(
-            _dump(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "dmax": args.dmax,
-                    "rows": rows,
-                    "totals": totals,
-                }
-            )
-        )
+        print(f'],"schema_version":{_dump(SCHEMA_VERSION)},"totals":{_dump(totals)}}}')
     else:
         summary = ", ".join(f"{k.value}: {totals[k.value]}" for k in kinds)
         print(f"-- {n_rows} squarefree d <= {args.dmax}; present for {summary}")
@@ -437,7 +461,9 @@ def cmd_oracle_local(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="bianchi",
         description="finite subgroups of Bianchi groups: classification, "
@@ -488,8 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, NonSquarefreeError, ValueError) as exc:

@@ -10,7 +10,7 @@ the automorphism index of a maximal order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional, Union
 
 from .arith import (
@@ -77,9 +77,13 @@ class HilbertCharacter:
     def of_square_class(cls, m: int, k: ImagQuadField) -> "HilbertCharacter":
         """The character v -> (m, -d)_v, the one evaluator of that symbol.
 
-        It can be -1 only at oo, 2 and the primes of m and d, so only those
-        places are evaluated; d's places are read from the field.
+        A positive square m gives the trivial character, with no symbol
+        evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
+        primes of m and d, so only those places are evaluated; d's places
+        are read from the field.
         """
+        if m > 0 and isqrt(m) ** 2 == m:
+            return cls(frozenset())
         places = {*relevant_places(m), *k.places}
         return cls(frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1))
 
@@ -101,9 +105,14 @@ def compatible_order_exists(
 
     Holds iff lam is coprime to sigma_k(F) and is an ideal norm of k.
     """
+    return _compatible(lam, k, sigma_k(F, k))
+
+
+def _compatible(lam: int, k: ImagQuadField, sk: int) -> bool:
+    """``compatible_order_exists`` given sk = sigma_k(F, k)."""
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
-    return gcd(lam, sigma_k(F, k)) == 1 and is_ideal_norm(lam, k)
+    return gcd(lam, sk) == 1 and is_ideal_norm(lam, k)
 
 
 def maximal_orders_isomorphic(
@@ -238,11 +247,18 @@ def global_embedding_count(
     finite ramified primes of F that are inert in k (which contribute 2
     even at exponent 0); all other primes contribute 1.
     """
-    if not compatible_order_exists(lam, F, k):
+    return _global_embedding_count(lam, F, k, sigma_k(F, k))
+
+
+def _global_embedding_count(
+    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField, sk: int
+) -> int:
+    """``global_embedding_count`` given sk = sigma_k(F, k)."""
+    if not _compatible(lam, k, sk):
         raise IncompatibleIndexError(
             f"index {lam} is not compatible for this algebra over d={k.d}"
         )
-    ram = set(F.finite_ramified())
+    ram = set(F.finite_ramified)
     primes = set(factorize(lam).primes()) if lam > 1 else set()
     primes |= {p for p in ram if splitting(k, p) is SplitType.INERT}
     count = 1
@@ -260,9 +276,14 @@ def global_embedding_count(
 
 def unit_character_divisors(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
     """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place."""
+    return _unit_character_divisors(k, sigma_k(F, k))
+
+
+def _unit_character_divisors(k: ImagQuadField, sk: int) -> list[int]:
+    """``unit_character_divisors`` given sk = sigma_k(F, k)."""
     return [
         f
-        for f in squarefree_divisors(sigma_k(F, k))
+        for f in squarefree_divisors(sk)
         if HilbertCharacter.of_square_class(f, k).is_trivial
     ]
 
@@ -305,10 +326,14 @@ def automorphism_index(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     of the k-algebra extending F: 2^(t+r+s-1), with t the number of primes
     of the discriminant, r the number of primes of sigma_k(F), and 2^s the
     number of divisors of sigma_k(F) with everywhere-trivial character."""
+    return _automorphism_index(k, sigma_k(F, k))
+
+
+def _automorphism_index(k: ImagQuadField, sk: int) -> int:
+    """``automorphism_index`` given sk = sigma_k(F, k)."""
     t = len(k.discriminant_primes())
-    sk = sigma_k(F, k)
     r = len(factorize(sk).primes()) if sk > 1 else 0
-    n_trivial = len(unit_character_divisors(F, k))
+    n_trivial = len(_unit_character_divisors(k, sk))
     s = n_trivial.bit_length() - 1
     assert 1 << s == n_trivial, "trivial-character divisors must number a power of 2"
     return 1 << (t + r + s - 1)
@@ -318,6 +343,8 @@ def embedding_class_counts(
     lam: int, F: QuaternionAlgebraQ, k: ImagQuadField
 ) -> tuple[int, int]:
     """(B, B1): unit-conjugacy and norm-one-conjugacy class counts of optimal
-    embeddings of the compatible order of index lam; B1 = 2B."""
-    B = global_embedding_count(lam, F, k) * automorphism_index(F, k)
+    embeddings of the compatible order of index lam; B1 = 2B. sigma_k(F)
+    is computed once and shared by both factors."""
+    sk = sigma_k(F, k)
+    B = _global_embedding_count(lam, F, k, sk) * _automorphism_index(k, sk)
     return B, 2 * B

@@ -27,8 +27,9 @@ class ImagQuadField:
     in the first case and D = -4d in the second.
 
     The field carries the primes of d, ascending, in ``primes`` and their
-    places in ``places``: d is factored once, when the field is built.
-    Equality and hash are by d.
+    places in ``places``: d is factored once, when the field is built, or
+    its primes come from a sieve (``_from_primes``). Equality and hash are
+    by d.
     """
 
     d: int
@@ -41,8 +42,20 @@ class ImagQuadField:
         fac = factorize(self.d)
         if any(e > 1 for _, e in fac.factors):
             raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
-        object.__setattr__(self, "primes", fac.primes())
-        object.__setattr__(self, "places", tuple(map(_proven_place, self.primes)))
+        self._set_primes(fac.primes())
+
+    def _set_primes(self, primes: tuple[int, ...]) -> None:
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "places", tuple(map(_proven_place, primes)))
+
+    @classmethod
+    def _from_primes(cls, d: int, primes: tuple[int, ...]) -> "ImagQuadField":
+        """The field of a squarefree d >= 1 whose primes, ascending, a sieve
+        has found: d is neither factored nor validated again."""
+        k = object.__new__(cls)
+        object.__setattr__(k, "d", d)
+        k._set_primes(primes)
+        return k
 
     @property
     def discriminant(self) -> int:

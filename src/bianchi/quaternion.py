@@ -9,7 +9,7 @@ stored.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .arith import (
@@ -32,16 +32,20 @@ class SubgroupKind(enum.Enum):
 
 @dataclass(frozen=True)
 class QuaternionAlgebraQ:
-    """A quaternion algebra over Q, given by its set of ramified places."""
+    """A quaternion algebra over Q, given by its set of ramified places.
+
+    ``finite_ramified`` holds the finite ramified primes, ascending, computed
+    once when the algebra is built.
+    """
 
     ramified: frozenset[Place]
+    finite_ramified: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.ramified) % 2 != 0:
             raise ValueError("the number of ramified places must be even")
-
-    def finite_ramified(self) -> tuple[int, ...]:
-        return tuple(sorted(v.p for v in self.ramified if not v.is_infinite))
+        primes = sorted(v.p for v in self.ramified if not v.is_infinite)
+        object.__setattr__(self, "finite_ramified", tuple(primes))
 
     @property
     def ramified_at_infinity(self) -> bool:
@@ -73,7 +77,7 @@ def local_symbol(F: QuaternionAlgebraQ, v: Place) -> int:
 def sigma(F: QuaternionAlgebraQ) -> int:
     """Product of the finite ramified primes, negated if oo is ramified."""
     s = 1
-    for p in F.finite_ramified():
+    for p in F.finite_ramified:
         s *= p
     return -s if F.ramified_at_infinity else s
 
@@ -85,7 +89,7 @@ def sigma_k(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     exactly when F embeds in M2(k).
     """
     s = 1
-    for p in F.finite_ramified():
+    for p in F.finite_ramified:
         if splitting(k, p) is SplitType.SPLIT:
             s *= p
     return s

@@ -12,7 +12,7 @@ from bianchi.classify import (
     gamma_composed,
     host_algebra_split,
 )
-from bianchi.quadfield import ImagQuadField, NonSquarefreeError
+from bianchi.quadfield import ImagQuadField, NonSquarefreeError, SplitType
 from bianchi.quaternion import SubgroupKind
 
 KINDS = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
@@ -213,3 +213,49 @@ def test_classify_report_tests_primality_of_d_once(record_calls):
     seen = record_calls(is_prime)
     classify_report(d)
     assert seen.count(d) == 1
+
+
+def test_embedding_path_reads_nothing_of_the_closed_form(monkeypatch):
+    fields = [ImagQuadField(d) for d in range(1, 301) if is_squarefree(d)]
+    expected = {}
+    for k in fields:
+        for kind in KINDS:
+            try:
+                expected[kind, k.d] = gamma_composed(kind, k)
+            except NoHostOrderError:
+                expected[kind, k.d] = None
+
+    def forbidden(*args):
+        raise AssertionError("the embedding path read the closed form")
+
+    for name in ("failing_primes", "gamma", "contains_in_psl2o"):
+        monkeypatch.setattr(f"bianchi.classify.{name}", forbidden)
+    for k in fields:
+        for kind in KINDS:
+            if expected[kind, k.d] is None:
+                with pytest.raises(NoHostOrderError):
+                    gamma_composed(kind, k)
+            else:
+                assert gamma_composed(kind, k) == expected[kind, k.d], (kind, k.d)
+
+
+def test_classify_report_runs_the_embedding_path(monkeypatch):
+    from bianchi import orders
+
+    real = orders.local_embedding_count
+
+    def doubled_when_ramified(q):
+        n = real(q)
+        return 2 * n if q.split_type is SplitType.RAMIFIED else n
+
+    monkeypatch.setattr(orders, "local_embedding_count", doubled_when_ramified)
+    squarefree = [d for d in range(1, 301) if is_squarefree(d)]
+    caught = []
+    for d in squarefree:
+        try:
+            classify_report(d)
+        except GammaMismatchError:
+            caught.append(d)
+    # the 2-dihedral index lam = 2 meets the prime 2, ramified in k exactly
+    # when d = 1, 2 mod 4; no other count of these reports is ramified
+    assert caught == [d for d in squarefree if d % 4 in (1, 2)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 
 from bianchi.arith import factorize
 from bianchi.classify import gamma_composed
-from bianchi.cli import main
+from bianchi.cli import _build_parser, _squarefree_range, main
+from bianchi.quadfield import ImagQuadField, NonSquarefreeError
 
 
 def run(capsys, *argv):
@@ -65,6 +67,69 @@ def test_classify_rejects_a_prime_square_near_2_62(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert "squarefree" in err
+
+
+def test_main_reuses_one_parser(capsys):
+    code, out, _ = run(capsys, "classify", "--d", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["d"] == 5
+    code, out, _ = run(capsys, "gamma", "--d", "5", "--kind", "d3")
+    assert code == 0 and json.loads(out)["gamma"] == 4
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--dmax", "ten"])
+    assert exc.value.code == 2
+    assert "--dmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--dmax", "10000"),
+            "2bdf4172caa4cb6b99c149b44810ba727b0d28d5ed8dbdd475729e953185f23a",
+        ),
+        (
+            ("--kinds", "d3,t", "--dmax", "1000"),
+            "01b6aaddbc9bd83baeb0eb5656b3c39f7189f4967fa38fc4a543b3fb289e8672",
+        ),
+    ],
+)
+def test_scan_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    # the streamed rows keep the bytes of one key-sorted dump of the document
+    monkeypatch.setenv("BIANCHI_THREADS", "1")
+    code, out, _ = run(capsys, "scan", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_scan_json_on_two_workers_matches_one(capsys, monkeypatch):
+    # a span of 64 d cuts the sieve into many segments and caps the pool's
+    # blocks (2000 // 16 = 125 d otherwise) at one segment
+    outputs = []
+    for span in (4096, 64):
+        monkeypatch.setattr("bianchi.cli._SIEVE_SPAN", span)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("BIANCHI_THREADS", workers)
+            code, out, _ = run(capsys, "scan", "--dmax", "2000", "--format", "json")
+            assert code == 0
+            outputs.append(out)
+    assert all(out == outputs[0] for out in outputs)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 5000), (10**6 - 2000, 10**6)])
+def test_sieved_fields_match_factored_fields(lo, hi):
+    expected = []
+    for d in range(lo, hi + 1):
+        try:
+            expected.append(ImagQuadField(d))
+        except NonSquarefreeError:
+            continue
+    sieved = list(_squarefree_range(lo, hi))
+    assert [k.d for k in sieved] == [k.d for k in expected]
+    for k, ref in zip(sieved, expected):
+        assert (k.primes, k.places) == (ref.primes, ref.places), k.d
 
 
 def test_scan_row_count(capsys):
@@ -213,14 +278,14 @@ def test_height_outside_search_range_is_a_usage_error(capsys):
         assert "--height" in err and out == "", argv
 
 
-def test_scan_factors_each_d_once(capsys, monkeypatch, record_calls):
+def test_scan_factors_no_d(capsys, monkeypatch, record_calls):
     monkeypatch.setenv("BIANCHI_THREADS", "1")
     seen = record_calls(factorize)
     code, _, _ = run(capsys, "scan", "--dmax", "100", "--format", "json")
     assert code == 0
-    # every report also factors its indices and symbol arguments, which lie
-    # in {1, 2, 3}; from 4 on, a factorization of n is one of d = n
-    assert all(seen.count(d) == 1 for d in range(4, 101))
+    # every report factors its indices and symbol arguments, which lie in
+    # {1, 2, 3}; the primes of each d come from the sieve
+    assert all(seen.count(d) == 0 for d in range(4, 101))
 
 
 def test_oracle_subgroups_rejects_d_beyond_exact_range(capsys):

@@ -64,6 +64,8 @@ def test_sigma_examples():
     assert sigma(FD3) == -3
     assert sigma(MATRIX_ALGEBRA) == 1
     assert sigma(QuaternionAlgebraQ(frozenset({Place(2), Place(5)}))) == 10
+    F = QuaternionAlgebraQ(frozenset({Place(5), INFINITY, Place(3), Place(2)}))
+    assert F.finite_ramified == (2, 3, 5)
 
 
 def test_sigma_k_examples():
