@@ -98,20 +98,18 @@ def squarefree_divisors(n: int) -> list[int]:
 
 
 def compatible_order_exists(
-    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField
+    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
 ) -> bool:
     """Whether some order of index lam in a maximal order of F contains a
     copy of the quadratic ring at all primes dividing lam.
 
-    Holds iff lam is coprime to sigma_k(F) and is an ideal norm of k.
+    Holds iff lam is coprime to sigma_k(F) and is an ideal norm of k. A
+    caller that holds sk = sigma_k(F, k) may pass it.
     """
-    return _compatible(lam, k, sigma_k(F, k))
-
-
-def _compatible(lam: int, k: ImagQuadField, sk: int) -> bool:
-    """``compatible_order_exists`` given sk = sigma_k(F, k)."""
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
+    if sk is None:
+        sk = sigma_k(F, k)
     return gcd(lam, sk) == 1 and is_ideal_norm(lam, k)
 
 
@@ -238,23 +236,17 @@ def local_embedding_count(q: LocalCountQuery) -> int:
 
 
 def global_embedding_count(
-    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField
+    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
 ) -> int:
     """Number of maximal orders of the extended k-algebra meeting F exactly
     in a fixed compatible order of index lam.
 
     Product of the local counts over the primes of lam together with the
     finite ramified primes of F that are inert in k (which contribute 2
-    even at exponent 0); all other primes contribute 1.
+    even at exponent 0); all other primes contribute 1. A caller that holds
+    sk = sigma_k(F, k) may pass it.
     """
-    return _global_embedding_count(lam, F, k, sigma_k(F, k))
-
-
-def _global_embedding_count(
-    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField, sk: int
-) -> int:
-    """``global_embedding_count`` given sk = sigma_k(F, k)."""
-    if not _compatible(lam, k, sk):
+    if not compatible_order_exists(lam, F, k, sk=sk):
         raise IncompatibleIndexError(
             f"index {lam} is not compatible for this algebra over d={k.d}"
         )
@@ -274,13 +266,13 @@ def _global_embedding_count(
     return count
 
 
-def unit_character_divisors(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
-    """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place."""
-    return _unit_character_divisors(k, sigma_k(F, k))
-
-
-def _unit_character_divisors(k: ImagQuadField, sk: int) -> list[int]:
-    """``unit_character_divisors`` given sk = sigma_k(F, k)."""
+def unit_character_divisors(
+    F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
+) -> list[int]:
+    """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place. A
+    caller that holds sk = sigma_k(F, k) may pass it."""
+    if sk is None:
+        sk = sigma_k(F, k)
     return [
         f
         for f in squarefree_divisors(sk)
@@ -321,19 +313,19 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     return len(pivots)
 
 
-def automorphism_index(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
+def automorphism_index(
+    F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
+) -> int:
     """Index of inner automorphisms in all automorphisms of a maximal order
     of the k-algebra extending F: 2^(t+r+s-1), with t the number of primes
     of the discriminant, r the number of primes of sigma_k(F), and 2^s the
-    number of divisors of sigma_k(F) with everywhere-trivial character."""
-    return _automorphism_index(k, sigma_k(F, k))
-
-
-def _automorphism_index(k: ImagQuadField, sk: int) -> int:
-    """``automorphism_index`` given sk = sigma_k(F, k)."""
+    number of divisors of sigma_k(F) with everywhere-trivial character. A
+    caller that holds sk = sigma_k(F, k) may pass it."""
+    if sk is None:
+        sk = sigma_k(F, k)
     t = len(k.discriminant_primes())
     r = len(factorize(sk).primes()) if sk > 1 else 0
-    n_trivial = len(_unit_character_divisors(k, sk))
+    n_trivial = len(unit_character_divisors(F, k, sk=sk))
     s = n_trivial.bit_length() - 1
     assert 1 << s == n_trivial, "trivial-character divisors must number a power of 2"
     return 1 << (t + r + s - 1)
@@ -346,5 +338,5 @@ def embedding_class_counts(
     embeddings of the compatible order of index lam; B1 = 2B. sigma_k(F)
     is computed once and shared by both factors."""
     sk = sigma_k(F, k)
-    B = _global_embedding_count(lam, F, k, sk) * _automorphism_index(k, sk)
+    B = global_embedding_count(lam, F, k, sk=sk) * automorphism_index(F, k, sk=sk)
     return B, 2 * B

@@ -37,24 +37,24 @@ class ImagQuadField:
     places: tuple[Place, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        fac = factorize(self.d)
-        if any(e > 1 for _, e in fac.factors):
-            raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
-        self._set_primes(fac.primes())
-
-    def _set_primes(self, primes: tuple[int, ...]) -> None:
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "places", tuple(map(_proven_place, primes)))
+        if "primes" not in vars(self):  # set already by _from_primes
+            if self.d < 1:
+                raise ValueError(f"d must be positive, got {self.d}")
+            fac = factorize(self.d)
+            if any(e > 1 for _, e in fac.factors):
+                raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
+            object.__setattr__(self, "primes", fac.primes())
+        object.__setattr__(self, "places", tuple(map(_proven_place, self.primes)))
 
     @classmethod
     def _from_primes(cls, d: int, primes: tuple[int, ...]) -> "ImagQuadField":
         """The field of a squarefree d >= 1 whose primes, ascending, a sieve
-        has found: d is neither factored nor validated again."""
+        has found: d is neither factored nor validated again. The build
+        still goes through ``__post_init__``, like any other."""
         k = object.__new__(cls)
         object.__setattr__(k, "d", d)
-        k._set_primes(primes)
+        object.__setattr__(k, "primes", primes)
+        k.__post_init__()
         return k
 
     @property

@@ -132,6 +132,21 @@ def test_sieved_fields_match_factored_fields(lo, hi):
         assert (k.primes, k.places) == (ref.primes, ref.places), k.d
 
 
+def test_sieved_fields_are_built_through_post_init(monkeypatch):
+    # a wrapper of __post_init__, such as a tracer's, sees every sieved build
+    built = []
+    post_init = ImagQuadField.__post_init__
+
+    def counted(self):
+        built.append(self.d)
+        post_init(self)
+
+    monkeypatch.setattr(ImagQuadField, "__post_init__", counted)
+    fields = list(_squarefree_range(1, 100))
+    assert len(fields) == 61
+    assert built == [k.d for k in fields]
+
+
 def test_scan_row_count(capsys):
     code, out, _ = run(capsys, "scan", "--dmax", "10")
     assert code == 0
