@@ -60,7 +60,6 @@ from .quaternion import (
     embeds_in_common_extension,
     from_hilbert_pair,
     group_algebra,
-    local_symbol,
     normalize_tau,
     sigma,
     sigma_k,
@@ -112,7 +111,6 @@ __all__ = [
     "embeds_in_common_extension",
     "from_hilbert_pair",
     "group_algebra",
-    "local_symbol",
     "normalize_tau",
     "sigma",
     "sigma_k",

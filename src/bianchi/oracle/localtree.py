@@ -272,9 +272,12 @@ def _disc_valuation(mats: list[RMat], d: int, p: int) -> int:
     return valuation(_det(gram), p) - 2 * sum(valuation(den, p) for _, den in mats)
 
 
-def _count_at_precision(
-    k: ImagQuadField, p: int, eps: int, r: int, K_prec: int
-) -> int:
+def _counts_at_precisions(
+    k: ImagQuadField, p: int, eps: int, r: int, precisions: tuple[int, ...]
+) -> list[int]:
+    """The vertex count at each working precision. The conjugations
+    J^-1 E_i J are computed once per vertex and shared; each precision
+    solves its own intersection lattice and compares it with the target."""
     d = k.d
     n = _smallest_nonresidue(p)
     if eps == 1:
@@ -333,20 +336,20 @@ def _count_at_precision(
     E = [_mmul(d, _mmul(d, base_inv, X), base) for X in _f_basis(tau_star)]
     v_L = valuation(L, p)
     target_dual = _dual(target, p)
-    count = 0
+    counts = [0] * len(precisions)
     for v in enumerate_vertices(k, p, r + 1):
         J = _vertex_matrix(d, v)
         J_inv, _ = _inv(d, J)  # over d^m, and v_p(d^m) = m as p exactly divides d
-        lat = _intersection(
-            [_mmul(d, _mmul(d, J_inv, X), J) for X in E], v_L + v.distance, p, K_prec
-        )
-        if _volume(lat, p) == volume and _inside(lat, target_dual, p):
-            if v.distance != r:
-                raise RuntimeError(
-                    f"intersection matched target at distance {v.distance} != {r}"
-                )
-            count += 1
-    return count
+        conj = [_mmul(d, _mmul(d, J_inv, X), J) for X in E]
+        for i, K_prec in enumerate(precisions):
+            lat = _intersection(conj, v_L + v.distance, p, K_prec)
+            if _volume(lat, p) == volume and _inside(lat, target_dual, p):
+                if v.distance != r:
+                    raise RuntimeError(
+                        f"intersection matched target at distance {v.distance} != {r}"
+                    )
+                counts[i] += 1
+    return counts
 
 
 def count_maximal_orders_local(
@@ -373,8 +376,7 @@ def count_maximal_orders_local(
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
     eps = hilbert_symbol(tau, -k.d, Place(p))
     K_prec = precision if precision is not None else r + 3
-    first = _count_at_precision(k, p, eps, r, K_prec)
-    second = _count_at_precision(k, p, eps, r, K_prec + 1)
+    first, second = _counts_at_precisions(k, p, eps, r, (K_prec, K_prec + 1))
     if first != second:
         raise PrecisionError(
             f"count unstable: {first} at K={K_prec}, {second} at K={K_prec + 1}"

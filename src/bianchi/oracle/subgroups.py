@@ -21,10 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..quadfield import ImagQuadField  # validates d squarefree
 from ..quaternion import SubgroupKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_HEIGHT = 16
 # entries of the largest temporary array in the torsion pass and the pair search
@@ -63,7 +66,6 @@ class SubgroupWitness:
 
     kind: SubgroupKind
     generators: tuple[OMatrix, ...]
-    relations_verified: bool
 
 
 def _ring_constants(d: int) -> tuple[int, int]:
@@ -148,7 +150,9 @@ def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
     For each alpha and trace, delta is fixed and alpha*delta - beta*gamma = 1
     leaves gamma = n*conj(beta)/N(beta) with n = alpha*delta - 1, so one
     int64 pass over the (alpha, beta) grid keeps the exact divisions whose
-    gamma lies in the box; n = 0 also admits beta = 0 with any gamma.
+    gamma lies in the box; n = 0 also admits beta = 0 with any gamma. The
+    division is staged: the x coordinate over the whole grid, the y
+    coordinate only where the first is exact and within the box.
     """
     import numpy as np
 
@@ -175,14 +179,16 @@ def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
             found.extend((*alpha, 0, 0, *gamma, *delta) for gamma in box)
         for lo in range(0, len(ax), step):
             n_x, n_y = nx[lo : lo + step, None], ny[lo : lo + step, None]
-            qx = n_x * cx + t * n_y * cy
-            qy = n_x * cy + n_y * cx + s * n_y * cy
-            gx, gy = qx // nb, qy // nb
-            hit = (qx % nb == 0) & (qy % nb == 0) & (np.abs(gx) <= H) & (np.abs(gy) <= H)
-            i, j = np.nonzero(hit)
+            gx, rx = np.divmod(n_x * cx + t * n_y * cy, nb)
+            i, j = np.nonzero((rx == 0) & (np.abs(gx) <= H))
+            gx = gx[i, j]
             i += lo
+            n_x, n_y, c_x, c_y = nx[i], ny[i], cx[j], cy[j]
+            gy, ry = np.divmod(n_x * c_y + n_y * c_x + s * n_y * c_y, nb[j])
+            ok = (ry == 0) & (np.abs(gy) <= H)
+            i, j = i[ok], j[ok]
             rows = np.stack(
-                [ax[i], ay[i], bx[j], by[j], gx[hit], gy[hit], dx[i], dy[i]], axis=1
+                [ax[i], ay[i], bx[j], by[j], gx[ok], gy[ok], dx[i], dy[i]], axis=1
             )
             found.extend(map(tuple, rows.tolist()))
     return tuple(sorted(out[0])), tuple(sorted(out[1]))
@@ -197,14 +203,33 @@ def enumerate_torsion_elements(d: int, H: int) -> list[OMatrix]:
     return [OMatrix.from_flat(m) for m in sorted(flats)]
 
 
+@lru_cache(maxsize=None)
+def _torsion_arrays(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two tuples of _torsion_flat(d, H) as float64 arrays of shape
+    (n, 8), built once for the three searches at (d, H)."""
+    import numpy as np
+
+    t0, t1 = (
+        np.array(flats, dtype=np.float64).reshape(-1, 8)
+        for flats in _torsion_flat(d, H)
+    )
+    return t0, t1
+
+
 def _candidate_pairs(
-    left: tuple[Flat, ...], right: tuple[Flat, ...], d: int
+    d: int, H: int, trace: int, integral: Optional[bool] = None
 ) -> Iterator[tuple[Flat, Flat]]:
-    """Pairs (U, V) with trace(U*V) = 0, in lexicographic order.
+    """Pairs (U, V) with trace(U) = trace, trace(V) = 0 and trace(U*V) = 0,
+    in lexicographic order.
 
     The two coordinates of trace(U*V) are vec(U).M.vec(V) for two 8x8
     integer forms M, evaluated in float64 within the bound of _exact_ring.
+    With integral given, only the pairs whose W = (1 - U - V - UV)/2 is, or
+    is not, integral are kept: the parity of 2W is evaluated in int64 on the
+    entries and ring constants taken mod 2, which leave it unchanged.
     """
+    flats = _torsion_flat(d, H)
+    left, right = flats[trace], flats[0]
     if not left or not right:
         return
     import numpy as np
@@ -218,25 +243,38 @@ def _candidate_pairs(
         My[i][j + 1] += 1
         My[i + 1][j] += 1
         My[i + 1][j + 1] += s
-    A = np.array(left, dtype=np.float64)
-    B = np.array(right, dtype=np.float64)
+    arrays = _torsion_arrays(d, H)
+    A, B = arrays[trace], arrays[0]
     BxT = (B @ Mx.T).T
     ByT = (B @ My.T).T
     chunk = max(1, _CHUNK // len(right))
     for lo in range(0, len(A), chunk):
         blk = A[lo : lo + chunk]
-        zero = ((blk @ BxT) == 0.0) & ((blk @ ByT) == 0.0)
-        for i, j in np.argwhere(zero):
-            yield left[lo + int(i)], right[int(j)]
+        i, j = np.nonzero(((blk @ BxT) == 0.0) & ((blk @ ByT) == 0.0))
+        if integral is not None:
+            U = (blk[i] % 2).astype(np.int64).T
+            V = (B[j] % 2).astype(np.int64).T
+            _, even = _half_extension(tuple(U), tuple(V), s % 2, t % 2)
+            keep = even == integral
+            i, j = i[keep], j[keep]
+        for a, b in zip(i.tolist(), j.tolist()):
+            yield left[lo + a], right[b]
 
 
 def _half_extension(U: Flat, V: Flat, s: int, t: int) -> tuple[Flat, bool]:
-    """2*W for W = (1 - U - V - UV)/2, and whether W is integral."""
+    """2*W for W = (1 - U - V - UV)/2, and whether W is integral.
+
+    Entry-wise in U and V, so it also takes eight numpy columns, one per
+    slot, and then returns columns and a boolean array.
+    """
     UV = _mmul(U, V, s, t)
     w2 = tuple(
         (1 if i in (0, 6) else 0) - U[i] - V[i] - UV[i] for i in range(8)
     )
-    return w2, all(x % 2 == 0 for x in w2)  # type: ignore[return-value]
+    odd = w2[0] % 2
+    for x in w2[1:]:
+        odd = odd | x % 2
+    return w2, odd == 0  # type: ignore[return-value]
 
 
 def _check_d3(U: Flat, V: Flat, s: int, t: int) -> bool:
@@ -278,15 +316,14 @@ def find_subgroup(
     only certifies nonexistence within the box.
     """
     s, t = _exact_ring(d, H)
-    t0, t1 = _torsion_flat(d, H)
     if kind is SubgroupKind.D3:
-        for U, V in _candidate_pairs(t1, t0, d):
+        for U, V in _candidate_pairs(d, H, 1):
             if _check_d3(U, V, s, t):
                 gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
-                return SubgroupWitness(kind, gens, True)
+                return SubgroupWitness(kind, gens)
         return None
     want_integral = kind is SubgroupKind.T
-    for U, V in _candidate_pairs(t0, t0, d):
+    for U, V in _candidate_pairs(d, H, 0, want_integral):
         if not _check_d2_pair(U, V, s, t):
             continue
         w2, integral = _half_extension(U, V, s, t)
@@ -300,7 +337,7 @@ def find_subgroup(
             gens = (OMatrix.from_flat(U), OMatrix.from_flat(V), W)
         else:
             gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
-        return SubgroupWitness(kind, gens, True)
+        return SubgroupWitness(kind, gens)
     return None
 
 

@@ -61,15 +61,6 @@ class ImagQuadField:
     def discriminant(self) -> int:
         return -self.d if self.d % 4 == 3 else -4 * self.d
 
-    @property
-    def half_integral(self) -> bool:
-        """True iff omega = (1 + i*sqrt(d))/2."""
-        return self.d % 4 == 3
-
-    @property
-    def ring_generator(self) -> str:
-        return "(1+i*sqrt(d))/2" if self.half_integral else "i*sqrt(d)"
-
     def discriminant_primes(self) -> tuple[int, ...]:
         return self.primes if self.d % 4 in (2, 3) else (2,) + self.primes
 

@@ -69,11 +69,6 @@ def from_hilbert_pair(a: int, b: int) -> QuaternionAlgebraQ:
     return QuaternionAlgebraQ(ram)
 
 
-def local_symbol(F: QuaternionAlgebraQ, v: Place) -> int:
-    """-1 where F is ramified, +1 where it splits."""
-    return -1 if v in F.ramified else 1
-
-
 def sigma(F: QuaternionAlgebraQ) -> int:
     """Product of the finite ramified primes, negated if oo is ramified."""
     s = 1

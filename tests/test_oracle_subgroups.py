@@ -5,10 +5,13 @@ import pytest
 
 from bianchi.arith import is_squarefree
 from bianchi.classify import contains_in_psl2o
+from bianchi.cli import main
 from bianchi.oracle.subgroups import (
     MAX_HEIGHT,
     OMatrix,
     SubgroupWitness,
+    _check_d2_pair,
+    _check_d3,
     _mdet,
     _mmul,
     _exact_ring,
@@ -26,6 +29,10 @@ KINDS = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
 
 # squarefree with t = -d: 64 * d * 10^2 >= 2^53, beyond the float64 pair search
 BEYOND_EXACT_D = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
+# the largest |t| the CLI admits: |t| <= d, with equality when d is not 3 mod 4
+LARGEST_ADMITTED_D = next(
+    d for d in range(10**6, 0, -1) if d % 4 != 3 and is_squarefree(d)
+)
 
 
 def _brute_force_torsion(d, H):
@@ -65,7 +72,7 @@ def _loop_torsion(d, H):
     return tuple(sorted(out[0])), tuple(sorted(out[1]))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 30, 1019])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 30, 1019, LARGEST_ADMITTED_D])
 def test_torsion_pass_matches_the_loops(d):
     for H in (0, 1, 2, 6):
         assert _torsion_flat(d, H) == _loop_torsion(d, H), H
@@ -106,7 +113,7 @@ def test_known_witness_pair_for_d1():
     # group: the tetrahedral extension has entries (1 +- i)/2 outside Z[i]
     U = OMatrix((0, 1), (0, 0), (0, 0), (0, -1))
     V = OMatrix((0, 0), (1, 0), (-1, 0), (0, 0))
-    witness = SubgroupWitness(SubgroupKind.D2MAX, (U, V), True)
+    witness = SubgroupWitness(SubgroupKind.D2MAX, (U, V))
     assert verify_witness(witness, 1)
 
 
@@ -138,10 +145,60 @@ def test_tetrahedral_witness_word_is_integral_order_six():
 def test_witness_tampering_detected():
     w = find_subgroup(SubgroupKind.D2MAX, 1, 2)
     assert w is not None
-    bad = SubgroupWitness(
-        w.kind, (w.generators[0], w.generators[0]), w.relations_verified
-    )
+    bad = SubgroupWitness(w.kind, (w.generators[0], w.generators[0]))
     assert not verify_witness(bad, 1)
+
+
+def _loop_search(kind, d, H):
+    """The witness search as plain loops in Python integers: every (U, V)
+    with trace(UV) = 0, in lexicographic order, through the checks of the
+    search, without a parity filter; the first pair that passes them."""
+    s, t = _ring_constants(d)
+    t0, t1 = _loop_torsion(d, H)
+    for U in t1 if kind is SubgroupKind.D3 else t0:
+        for V in t0:
+            UV = _mmul(U, V, s, t)
+            if _mtrace(UV) != (0, 0):
+                continue
+            gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
+            if kind is SubgroupKind.D3:
+                if _check_d3(U, V, s, t):
+                    return SubgroupWitness(kind, gens)
+                continue
+            if not _check_d2_pair(U, V, s, t):
+                continue
+            one = (1, 0, 0, 0, 0, 0, 1, 0)
+            w2 = tuple(e - u - v - uv for e, u, v, uv in zip(one, U, V, UV))
+            integral = all(x % 2 == 0 for x in w2)
+            if integral != (kind is SubgroupKind.T):
+                continue
+            if integral:
+                if _mmul(_mmul(w2, w2, s, t), w2, s, t) != tuple(-8 * x for x in one):
+                    continue
+                gens += (OMatrix.from_flat(tuple(x // 2 for x in w2)),)
+            return SubgroupWitness(kind, gens)
+    return None
+
+
+@pytest.mark.parametrize("d", [d for d in range(1, 31) if is_squarefree(d)])
+def test_search_matches_the_plain_loops(d):
+    for kind in KINDS:
+        assert find_subgroup(kind, d, 3) == _loop_search(kind, d, 3), kind
+
+
+def test_oracle_output_digest_is_pinned(capsys):
+    # `oracle subgroups --height 10` output, byte for byte as the search
+    # printed it before pairs were filtered by the parity of 2W
+    digests = {}
+    for d in (1, 3, 5, 19):
+        assert main(["oracle", "subgroups", "--d", str(d), "--height", "10"]) == 0
+        digests[d] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == {
+        1: "069c33cad95f93fcbf2272acda8a4c4a84f85c180ae8b88762bf9a653986fccb",
+        3: "411edd7cbc34f2ca7689526ba72eb3ec1eb9cdc770cf680cd099800a45060f5a",
+        5: "75462f0df517f9a5d6eb74ddba31376eb19ea0cd81f1584f5e0a432653f4f4a7",
+        19: "99bd17a24e8382716124b16cc3e30103170a693d0da732afc0ea1299ccf69a4f",
+    }
 
 
 @pytest.mark.parametrize("d", [d for d in range(1, 14) if is_squarefree(d)])
@@ -177,6 +234,5 @@ def test_exactness_guard_rejects_large_d():
 
 
 def test_exactness_guard_admits_every_d_up_to_a_million():
-    # |t| <= d, with equality when d is not 3 mod 4
-    d = next(d for d in range(10**6, 0, -1) if d % 4 != 3 and is_squarefree(d))
+    d = LARGEST_ADMITTED_D
     assert _exact_ring(d, MAX_HEIGHT) == (0, -d)

@@ -56,11 +56,6 @@ def test_field_carries_the_primes_of_d():
     assert repr(make_field(30)) == "ImagQuadField(d=30)"
 
 
-def test_ring_generator_descriptor():
-    assert make_field(3).ring_generator == "(1+i*sqrt(d))/2"
-    assert make_field(2).ring_generator == "i*sqrt(d)"
-
-
 def test_splitting_examples():
     assert splitting(make_field(3), 3) is SplitType.RAMIFIED
     assert splitting(make_field(1), 5) is SplitType.SPLIT

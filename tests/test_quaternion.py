@@ -21,7 +21,6 @@ from bianchi.quaternion import (
     embeds_in_common_extension,
     from_hilbert_pair,
     group_algebra,
-    local_symbol,
     normalize_tau,
     sigma,
     sigma_k,
@@ -48,15 +47,7 @@ def test_from_hilbert_pair_matches_symbols(a, b):
     F = from_hilbert_pair(a, b)
     assert len(F.ramified) % 2 == 0
     for v in relevant_places(a, b):
-        assert local_symbol(F, v) == hilbert_symbol(a, b, v)
-
-
-def test_local_symbol_examples():
-    FD3 = group_algebra(SubgroupKind.D3).algebra
-    FT = group_algebra(SubgroupKind.T).algebra
-    assert local_symbol(FD3, Place(3)) == -1
-    assert local_symbol(MATRIX_ALGEBRA, Place(7)) == 1
-    assert local_symbol(FT, INFINITY) == -1
+        assert (-1 if v in F.ramified else 1) == hilbert_symbol(a, b, v)
 
 
 def test_sigma_examples():
