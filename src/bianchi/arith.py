@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import gcd
-from typing import Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Largest |n| that ``factorize`` and ``is_prime`` accept: the 64-bit signed
 #: range of the CLI's ``d``. Rho factors any such n in well under a second.
@@ -36,7 +38,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 #: Rho steps whose differences share one gcd.
 _RHO_BATCH = 128
 
-Rational = Union[int, Fraction]
+Rational = Union[int, "Fraction"]
 
 
 @dataclass(frozen=True)
@@ -272,16 +274,12 @@ def kronecker(a: int, n: int) -> int:
 
 
 def _square_class_int(x: Rational) -> int:
-    """An integer in the same rational square class as x."""
+    """An integer in the same rational square class as x: n/m has n*m."""
     if type(x) is int and x:
-        return x  # the common case, without the ABC check of isinstance
-    if isinstance(x, Fraction):
-        if x == 0:
-            raise ValueError("nonzero rational required")
-        return x.numerator * x.denominator
+        return x  # the common case
     if x == 0:
         raise ValueError("nonzero rational required")
-    return x
+    return x.numerator * x.denominator
 
 
 def _epsilon(u: int) -> int:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
 from math import isqrt
 from typing import Iterator, Optional, Sequence
@@ -187,6 +185,8 @@ def _pool_map(fn, dmax: int, workers: int) -> Iterator:
     if workers <= 1 or dmax < _POOL_MIN_DMAX:
         yield from map(fn, _squarefree_range(1, dmax))
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     step = max(1, min(dmax // (workers * 8), _SIEVE_SPAN))
     starts = range(1, dmax + 1, step)
     ends = [min(lo + step - 1, dmax) for lo in starts]
@@ -277,6 +277,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def _suite_reciprocity(args: argparse.Namespace) -> list[str]:
+    import random
+
     from .arith import relevant_places
 
     rng = random.Random(20240917)
@@ -356,7 +358,8 @@ def _suite_subgroups(args: argparse.Namespace) -> list[str]:
             witness = find_subgroup(kind, k.d, height)
             if predicted and witness is None:
                 failures.append(
-                    f"search exhausted but existence predicted: {kind.value}, d={k.d}"
+                    f"no witness within height {height} although existence "
+                    f"is predicted: {kind.value}, d={k.d}"
                 )
             if not predicted and witness is not None:
                 failures.append(

@@ -90,20 +90,24 @@ def _inv(d: int, A: Mat) -> RMat:
 
 def _congruence_lattice(
     forms: list[tuple[list[int], int]], p: int, dim: int
-) -> list[list[int]]:
-    """Basis of {x in Z^dim : g.x = 0 mod p^M for each (g, M)}.
+) -> tuple[list[list[int]], int]:
+    """Basis of {x in Z^dim : g.x = 0 mod p^M for each (g, M)}, with the
+    exponent of its determinant, which is a power of p.
 
     The forms are imposed one at a time. The basis vector on which g has
     the least valuation nu is the pivot: the others drop its multiples
-    until g vanishes on them mod p^M, and it is itself scaled by p^(M - nu).
+    until g vanishes on them mod p^M, which keeps the determinant, and it
+    is itself scaled by p^(M - nu). So the determinant is p^sum(M - nu).
     """
     basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    exponent = 0
     for g, M in forms:
         mod = p**M
         vals = [sum(map(mul, g, v)) % mod for v in basis]
         if not any(vals):
             continue
-        q = p ** valuation(gcd(*vals), p)
+        nu = valuation(gcd(*vals), p)
+        q = p**nu
         i0 = next(i for i in range(dim) if vals[i] % (q * p))
         inv = pow(vals[i0] // q, -1, mod // q)
         pivot = basis[i0]
@@ -112,7 +116,8 @@ def _congruence_lattice(
                 c = vals[i] // q * inv % (mod // q)
                 basis[i] = [x - c * y for x, y in zip(basis[i], pivot)]
         basis[i0] = [x * (mod // q) for x in pivot]
-    return basis
+        exponent += M - nu
+    return basis, exponent
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -196,7 +201,7 @@ def _lattice(mats: list[RMat], tau: int, p: int) -> Lattice:
 
 
 @dataclass(frozen=True)
-class LocalLatticeVertex:
+class _Vertex:
     """A vertex of the local tree: the lattice class of (pi^a, b; 0, pi^c)
     applied to the base, at distance a + c from it."""
 
@@ -207,7 +212,7 @@ class LocalLatticeVertex:
     distance: int
 
 
-def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[LocalLatticeVertex]:
+def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[_Vertex]:
     """All tree vertices at distance <= max_distance from the base class,
     as primitive upper-triangular transition matrices."""
     _validate_ramified(k, p)
@@ -221,19 +226,22 @@ def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[Loca
                 if a > 0 and c > 0 and x % p == 0:
                     continue
                 for y in range(ys):
-                    out.append(LocalLatticeVertex(p, a, c, (x, y), m))
+                    out.append(_Vertex(p, a, c, (x, y), m))
     return out
 
 
-def _vertex_matrix(d: int, v: LocalLatticeVertex) -> Mat:
+def _vertex_matrix(d: int, v: _Vertex) -> Mat:
     pow_a = reduce(lambda z, _: _kmul(d, z, _PI), range(v.a), _ONE)
     pow_c = reduce(lambda z, _: _kmul(d, z, _PI), range(v.c), _ONE)
     return (pow_a, v.b, _ZERO, pow_c)
 
 
-def _intersection(conj: list[Mat], scale: int, p: int, K_prec: int) -> Lattice:
+def _intersection(
+    conj: list[Mat], scale: int, p: int, K_prec: int
+) -> tuple[Lattice, int]:
     """The lattice of x in p^-K Z_p^4 with sum x_i * conj_i / D in M2(o_p),
-    where the conj_i are integer matrices over one D with v_p(D) = scale."""
+    where the conj_i are integer matrices over one D with v_p(D) = scale,
+    and its _volume, read off the solver's pivots."""
     mod = p ** (K_prec + scale)
     forms = []
     for slot in range(4):
@@ -241,7 +249,8 @@ def _intersection(conj: list[Mat], scale: int, p: int, K_prec: int) -> Lattice:
             g = [X[slot][coord] % mod for X in conj]
             if any(g):
                 forms.append((g, K_prec + scale))
-    return _congruence_lattice(forms, p, 4), K_prec
+    rows, exponent = _congruence_lattice(forms, p, 4)
+    return (rows, K_prec), exponent - 4 * K_prec
 
 
 def _smallest_nonresidue(p: int) -> int:
@@ -342,8 +351,8 @@ def _counts_at_precisions(
         J_inv, _ = _inv(d, J)  # over d^m, and v_p(d^m) = m as p exactly divides d
         conj = [_mmul(d, _mmul(d, J_inv, X), J) for X in E]
         for i, K_prec in enumerate(precisions):
-            lat = _intersection(conj, v_L + v.distance, p, K_prec)
-            if _volume(lat, p) == volume and _inside(lat, target_dual, p):
+            lat, lat_volume = _intersection(conj, v_L + v.distance, p, K_prec)
+            if lat_volume == volume and _inside(lat, target_dual, p):
                 if v.distance != r:
                     raise RuntimeError(
                         f"intersection matched target at distance {v.distance} != {r}"

@@ -153,6 +153,13 @@ def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
     gamma lies in the box; n = 0 also admits beta = 0 with any gamma. The
     division is staged: the x coordinate over the whole grid, the y
     coordinate only where the first is exact and within the box.
+
+    A -> tr*I - A maps these matrices onto themselves, as det(tr*I - A) =
+    tr^2 - tr*trace(A) + det(A) = 1, and sends (alpha, beta, gamma, delta)
+    to (delta, -beta, -gamma, alpha). It has no fixed point, so the pass
+    keeps only the lexicographically smaller (alpha, beta) of each pair,
+    which is the one with 2*alpha_x < tr, or 2*alpha_x = tr and alpha_y < 0,
+    or alpha = delta and beta < -beta, and adds each image.
     """
     import numpy as np
 
@@ -160,23 +167,29 @@ def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
     side = np.arange(-H, H + 1, dtype=np.int64)
     box_x = np.repeat(side, len(side))
     box_y = np.tile(side, len(side))
-    box = [(x, y) for x in range(-H, H + 1) for y in range(-H, H + 1)]
     nonzero = (box_x != 0) | (box_y != 0)
     bx, by = box_x[nonzero], box_y[nonzero]
     cx, cy = bx + s * by, -by  # conj(beta), as conj(omega) = s - omega
     nb = bx * bx + s * bx * by - t * by * by  # N(beta) > 0
+    beta_above = (bx > 0) | ((bx == 0) & (by > 0))  # beta > -beta
     step = max(1, _CHUNK // max(1, len(bx)))
-    out: tuple[list[Flat], list[Flat]] = ([], [])
-    for tr, found in zip((0, 1), out):
-        keep = np.abs(tr - box_x) <= H
+    out = []
+    for tr in (0, 1):
+        keep = (np.abs(tr - box_x) <= H) & (
+            (2 * box_x < tr) | ((2 * box_x == tr) & (box_y <= 0))
+        )
         ax, ay = box_x[keep], box_y[keep]
         dx, dy = tr - ax, -ay
+        fixed = (2 * ax == tr) & (ay == 0)  # alpha = delta
         yy = ay * dy
         nx = ax * dx + t * yy - 1
         ny = ax * dy + ay * dx + s * yy
+        found = [np.empty((0, 8), dtype=np.int64)]
         for i in np.flatnonzero((nx == 0) & (ny == 0)).tolist():
-            alpha, delta = (int(ax[i]), int(ay[i])), (int(dx[i]), int(dy[i]))
-            found.extend((*alpha, 0, 0, *gamma, *delta) for gamma in box)
+            block = np.zeros((len(box_x), 8), dtype=np.int64)
+            block[:, (0, 1, 6, 7)] = ax[i], ay[i], dx[i], dy[i]
+            block[:, 4], block[:, 5] = box_x, box_y
+            found.append(block)
         for lo in range(0, len(ax), step):
             n_x, n_y = nx[lo : lo + step, None], ny[lo : lo + step, None]
             gx, rx = np.divmod(n_x * cx + t * n_y * cy, nb)
@@ -185,13 +198,20 @@ def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
             i += lo
             n_x, n_y, c_x, c_y = nx[i], ny[i], cx[j], cy[j]
             gy, ry = np.divmod(n_x * c_y + n_y * c_x + s * n_y * c_y, nb[j])
-            ok = (ry == 0) & (np.abs(gy) <= H)
+            ok = (ry == 0) & (np.abs(gy) <= H) & ~(fixed[i] & beta_above[j])
             i, j = i[ok], j[ok]
-            rows = np.stack(
-                [ax[i], ay[i], bx[j], by[j], gx[ok], gy[ok], dx[i], dy[i]], axis=1
+            found.append(
+                np.stack(
+                    [ax[i], ay[i], bx[j], by[j], gx[ok], gy[ok], dx[i], dy[i]],
+                    axis=1,
+                )
             )
-            found.extend(map(tuple, rows.tolist()))
-    return tuple(sorted(out[0])), tuple(sorted(out[1]))
+        rows = np.concatenate(found)
+        images = -rows
+        images[:, (0, 6)] += tr
+        both = np.concatenate((rows, images)).tolist()
+        out.append(tuple(sorted(map(tuple, both))))
+    return out[0], out[1]
 
 
 def enumerate_torsion_elements(d: int, H: int) -> list[OMatrix]:

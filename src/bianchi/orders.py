@@ -88,13 +88,24 @@ class HilbertCharacter:
         return cls(frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1))
 
 
-def squarefree_divisors(n: int) -> list[int]:
-    """All positive divisors of squarefree n >= 1, ascending."""
-    primes = factorize(n).primes() if n > 1 else ()
+def _divisors_of_primes(primes: tuple[int, ...]) -> list[int]:
+    """All products of distinct primes from the tuple, ascending."""
     divs = [1]
     for p in primes:
         divs += [d * p for d in divs]
     return sorted(divs)
+
+
+def squarefree_divisors(n: int) -> list[int]:
+    """All positive divisors of squarefree n >= 1, ascending."""
+    return _divisors_of_primes(factorize(n).primes() if n > 1 else ())
+
+
+def _sigma_k_primes(F: QuaternionAlgebraQ, sk: int) -> tuple[int, ...]:
+    """The primes of sk = sigma_k(F, k), ascending, read off F without
+    factoring sk: the finite ramified primes of F that split in k, which
+    are exactly those dividing sk."""
+    return tuple(p for p in F.finite_ramified if sk % p == 0)
 
 
 def compatible_order_exists(
@@ -275,7 +286,7 @@ def unit_character_divisors(
         sk = sigma_k(F, k)
     return [
         f
-        for f in squarefree_divisors(sk)
+        for f in _divisors_of_primes(_sigma_k_primes(F, sk))
         if HilbertCharacter.of_square_class(f, k).is_trivial
     ]
 
@@ -324,7 +335,7 @@ def automorphism_index(
     if sk is None:
         sk = sigma_k(F, k)
     t = len(k.discriminant_primes())
-    r = len(factorize(sk).primes()) if sk > 1 else 0
+    r = len(_sigma_k_primes(F, sk))
     n_trivial = len(unit_character_divisors(F, k, sk=sk))
     s = n_trivial.bit_length() - 1
     assert 1 << s == n_trivial, "trivial-character divisors must number a power of 2"

@@ -87,6 +87,8 @@ def is_ideal_norm(lam: int, k: ImagQuadField) -> bool:
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
+    if lam == 1:
+        return True  # the norm of o itself, with nothing to factor
     for p, e in factorize(lam).factors:
         if e % 2 and splitting(k, p) is SplitType.INERT:
             return False

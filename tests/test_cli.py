@@ -320,3 +320,31 @@ def test_importing_the_cli_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def test_importing_the_cli_defers_the_pool_and_fractions():
+    import bianchi
+
+    src = str(Path(bianchi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    names = (
+        "concurrent.futures",
+        "multiprocessing",
+        "fractions",
+        "bianchi.oracle.localtree",
+        "bianchi.oracle.subgroups",
+    )
+    code = f"import sys, bianchi.cli; print([n in sys.modules for n in {names!r}])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[False, False, False, True, True]"
+
+
+def test_verify_subgroups_names_the_height_bound(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "subgroups", "--dmax", "33")
+    assert code == 1
+    assert out == "suite subgroups: 1 failure(s)\n"
+    assert err == (
+        "FAIL: no witness within height 10 although existence is predicted: t, d=33\n"
+    )

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bianchi.arith import valuation
 from bianchi.oracle.localtree import (
     _congruence_lattice,
     _det,
@@ -22,7 +23,8 @@ def test_congruence_lattice_random_systems():
             ([rng.randint(-9, 9) for _ in range(4)], rng.randint(1, 2))
             for _ in range(3)
         ]
-        basis = _congruence_lattice(forms, p, 4)
+        basis, exponent = _congruence_lattice(forms, p, 4)
+        assert exponent == valuation(_det(basis), p)
         for v in basis:
             for g, M in forms:
                 assert sum(a * b for a, b in zip(g, v)) % p**M == 0
@@ -33,7 +35,7 @@ def test_congruence_lattice_random_systems():
             all(sum(a * b for a, b in zip(g, x)) % p**M == 0 for g, M in forms)
             for x in itertools.product(range(mod), repeat=4)
         )
-        assert abs(_det(basis)) == mod**4 // brute
+        assert abs(_det(basis)) == mod**4 // brute == p**exponent
 
 
 def test_congruence_lattice_brute_force():
@@ -44,7 +46,8 @@ def test_congruence_lattice_brute_force():
             ([rng.randint(-8, 8) for _ in range(3)], rng.randint(1, 2))
             for _ in range(2)
         ]
-        basis = _congruence_lattice(forms, p, 3)
+        basis, exponent = _congruence_lattice(forms, p, 3)
+        assert exponent == valuation(_det(basis), p)
         # every basis vector satisfies the congruences
         for v in basis:
             for g, M in forms:
@@ -62,7 +65,7 @@ def test_congruence_lattice_brute_force():
                     ):
                         brute += 1
         det = abs(_det3(basis))
-        assert brute == mod**3 // det
+        assert brute == mod**3 // det == mod**3 // p**exponent
 
 
 def _det3(rows):

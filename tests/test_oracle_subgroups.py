@@ -74,8 +74,20 @@ def _loop_torsion(d, H):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 30, 1019, LARGEST_ADMITTED_D])
 def test_torsion_pass_matches_the_loops(d):
-    for H in (0, 1, 2, 6):
+    # d = 1 and 3 give the densest sets, with n = 0 rows, at the larger H
+    heights = {1: (10, 16), 3: (10,)}.get(d, ())
+    for H in (0, 1, 2, 6, *heights):
         assert _torsion_flat(d, H) == _loop_torsion(d, H), H
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 19, LARGEST_ADMITTED_D])
+def test_torsion_sets_are_closed_under_tr_minus_a(d):
+    # A -> tr*I - A: (alpha, beta, gamma, delta) -> (delta, -beta, -gamma, alpha)
+    for H in (1, 2, 6, 10):
+        for tr, flats in zip((0, 1), _torsion_flat(d, H)):
+            images = [(*m[6:8], *(-x for x in m[2:6]), *m[0:2]) for m in flats]
+            assert sorted(images) == list(flats), (tr, H)
+            assert all(m != img for m, img in zip(flats, images))
 
 
 def test_enumeration_examples_d1():
