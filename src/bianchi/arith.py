@@ -55,14 +55,6 @@ class Place:
             if self.p < 2 or not is_prime(self.p):
                 raise ValueError(f"finite place requires a prime, got {self.p}")
 
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
-
-    @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
     @property
     def is_infinite(self) -> bool:
         return self.p is None
@@ -92,12 +84,6 @@ class Factorization:
 
     sign: int
     factors: tuple[tuple[int, int], ...]
-
-    def value(self) -> int:
-        n = self.sign
-        for p, e in self.factors:
-            n *= p**e
-        return n
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

@@ -14,7 +14,7 @@ import os
 import sys
 from functools import cache, partial
 from math import isqrt
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import factorize, hilbert_symbol
 from .classify import (
@@ -61,6 +61,9 @@ _POOL_MIN_DMAX = 100
 
 #: d per segment of the squarefree sieve, which bounds its memory at any dmax
 _SIEVE_SPAN = 1 << 12
+
+#: the height bound of the subgroup search when --height is not given
+_DEFAULT_HEIGHT = 10
 
 
 class UsageError(Exception):
@@ -276,7 +279,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 # --- verification suites -------------------------------------------------
 
 
-def _suite_reciprocity(args: argparse.Namespace) -> list[str]:
+def _suite_reciprocity() -> list[str]:
     import random
 
     from .arith import relevant_places
@@ -302,8 +305,7 @@ def _existence_failures_at(k: ImagQuadField) -> list[str]:
     ]
 
 
-def _suite_existence(args: argparse.Namespace) -> list[str]:
-    dmax = 1000 if args.dmax is None else args.dmax
+def _suite_existence(dmax: int) -> list[str]:
     return [f for rows in _pool_map(_existence_failures_at, dmax, _workers()) for f in rows]
 
 
@@ -319,13 +321,11 @@ def _gamma_failures_at(k: ImagQuadField) -> list[str]:
     return failures
 
 
-def _suite_gamma(args: argparse.Namespace) -> list[str]:
-    dmax = 500 if args.dmax is None else args.dmax
+def _suite_gamma(dmax: int) -> list[str]:
     return [f for rows in _pool_map(_gamma_failures_at, dmax, _workers()) for f in rows]
 
 
-def _suite_autindex(args: argparse.Namespace) -> list[str]:
-    dmax = 200 if args.dmax is None else args.dmax
+def _suite_autindex(dmax: int) -> list[str]:
     failures = []
     algebras = [
         group_algebra(SubgroupKind.D3).algebra,
@@ -348,9 +348,7 @@ def _suite_autindex(args: argparse.Namespace) -> list[str]:
     return failures
 
 
-def _suite_subgroups(args: argparse.Namespace) -> list[str]:
-    dmax = 30 if args.dmax is None else args.dmax
-    height = 10 if args.height is None else args.height
+def _suite_subgroups(dmax: int, height: int) -> list[str]:
     failures = []
     for k in _squarefree_range(1, dmax):
         for kind in _KIND_ORDER:
@@ -368,7 +366,7 @@ def _suite_subgroups(args: argparse.Namespace) -> list[str]:
     return failures
 
 
-def _suite_local(args: argparse.Namespace) -> list[str]:
+def _suite_local() -> list[str]:
     from .orders import LocalCountQuery, local_embedding_count
     from .quadfield import SplitType
 
@@ -377,12 +375,8 @@ def _suite_local(args: argparse.Namespace) -> list[str]:
         k = ImagQuadField(d)
         for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
             for r in range(4):
-                expected = (
-                    1
-                    if r == 0
-                    else local_embedding_count(
-                        LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
-                    )
+                expected = local_embedding_count(
+                    LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
                 )
                 try:
                     got = count_maximal_orders_local(p, k, tau, r)
@@ -397,20 +391,37 @@ def _suite_local(args: argparse.Namespace) -> list[str]:
     return failures
 
 
+class _Suite(NamedTuple):
+    """A verify suite and the defaults of the options it reads; None marks
+    an option the suite does not read, which is then rejected."""
+
+    run: Callable[..., list[str]]
+    dmax: Optional[int] = None
+    height: Optional[int] = None
+
+
 _SUITES = {
-    "reciprocity": _suite_reciprocity,
-    "existence": _suite_existence,
-    "gamma": _suite_gamma,
-    "autindex": _suite_autindex,
-    "subgroups": _suite_subgroups,
-    "local": _suite_local,
+    "reciprocity": _Suite(_suite_reciprocity),
+    "existence": _Suite(_suite_existence, dmax=1000),
+    "gamma": _Suite(_suite_gamma, dmax=500),
+    "autindex": _Suite(_suite_autindex, dmax=200),
+    "subgroups": _Suite(_suite_subgroups, dmax=30, height=_DEFAULT_HEIGHT),
+    "local": _Suite(_suite_local),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    suite = _SUITES[args.suite]
+    options = {}
+    for name, default in (("dmax", suite.dmax), ("height", suite.height)):
+        given = getattr(args, name)
+        if default is not None:
+            options[name] = default if given is None else given
+        elif given is not None:
+            raise UsageError(f"suite {args.suite} does not read --{name}")
     _check_dmax(args.dmax)
     _check_height(args.height)
-    failures = _SUITES[args.suite](args)
+    failures = suite.run(**options)
     if failures:
         for line in failures:
             print(f"FAIL: {line}", file=sys.stderr)
@@ -422,7 +433,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
     _check_height(args.height)
-    height = args.height if args.height is not None else 10
+    height = _DEFAULT_HEIGHT if args.height is None else args.height
     results = {}
     for kind in _KIND_ORDER:
         witness = find_subgroup(kind, args.d, height)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import reduce
 from math import gcd
 from operator import mul
-from typing import Optional
 
 from ..arith import Place, hilbert_symbol, is_prime, kronecker, valuation
 from ..quadfield import ImagQuadField, SplitType, splitting
@@ -205,7 +204,6 @@ class _Vertex:
     """A vertex of the local tree: the lattice class of (pi^a, b; 0, pi^c)
     applied to the base, at distance a + c from it."""
 
-    p: int
     a: int
     c: int
     b: K
@@ -226,7 +224,7 @@ def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[_Ver
                 if a > 0 and c > 0 and x % p == 0:
                     continue
                 for y in range(ys):
-                    out.append(_Vertex(p, a, c, (x, y), m))
+                    out.append(_Vertex(a, c, (x, y), m))
     return out
 
 
@@ -361,22 +359,15 @@ def _counts_at_precisions(
     return counts
 
 
-def count_maximal_orders_local(
-    p: int,
-    k: ImagQuadField,
-    tau: int,
-    r: int,
-    *,
-    precision: Optional[int] = None,
-) -> int:
+def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> int:
     """Number of local maximal orders of M2(k_p) meeting F(tau) exactly in
     the order of index p^r over the diagonal quadratic ring.
 
     tau enters only through its square class at p (its Hilbert symbol
     against -d decides whether F(tau) splits); internally a unit
     representative of that class is used. The count is computed at working
-    precision K = r + 3 (or the given override) and re-checked at K + 1;
-    disagreement raises PrecisionError.
+    precision K = r + 3 and re-checked at K + 1; disagreement raises
+    PrecisionError.
     """
     _validate_ramified(k, p)
     if not 0 <= r <= 3:
@@ -384,7 +375,7 @@ def count_maximal_orders_local(
     if tau == 0 or valuation(tau, p) > 1:
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
     eps = hilbert_symbol(tau, -k.d, Place(p))
-    K_prec = precision if precision is not None else r + 3
+    K_prec = r + 3
     first, second = _counts_at_precisions(k, p, eps, r, (K_prec, K_prec + 1))
     if first != second:
         raise PrecisionError(

@@ -144,8 +144,9 @@ def _exact_ring(d: int, H: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
-    """Sorted trace-0 and trace-1 determinant-1 matrices within the box.
+def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trace-0 and trace-1 determinant-1 matrices within the box, each an
+    int64 array of shape (n, 8) whose rows are in lexicographic order.
 
     For each alpha and trace, delta is fixed and alpha*delta - beta*gamma = 1
     leaves gamma = n*conj(beta)/N(beta) with n = alpha*delta - 1, so one
@@ -209,31 +210,22 @@ def _torsion_flat(d: int, H: int) -> tuple[tuple[Flat, ...], tuple[Flat, ...]]:
         rows = np.concatenate(found)
         images = -rows
         images[:, (0, 6)] += tr
-        both = np.concatenate((rows, images)).tolist()
-        out.append(tuple(sorted(map(tuple, both))))
+        both = np.concatenate((rows, images))
+        out.append(both[np.lexsort(both.T[::-1])])  # Python's tuple order
+        out[-1].setflags(write=False)  # shared through the cache
     return out[0], out[1]
 
 
 def enumerate_torsion_elements(d: int, H: int) -> list[OMatrix]:
     """All A in SL2(o) with |x|, |y| <= H in every entry and trace in
-    {0, +1, -1}, without duplicates."""
+    {0, +1, -1}, without duplicates, in lexicographic order."""
     _exact_ring(d, H)
-    t0, t1 = _torsion_flat(d, H)
-    flats = set(t0) | set(t1) | {_mneg(m) for m in t1}
-    return [OMatrix.from_flat(m) for m in sorted(flats)]
-
-
-@lru_cache(maxsize=None)
-def _torsion_arrays(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two tuples of _torsion_flat(d, H) as float64 arrays of shape
-    (n, 8), built once for the three searches at (d, H)."""
     import numpy as np
 
-    t0, t1 = (
-        np.array(flats, dtype=np.float64).reshape(-1, 8)
-        for flats in _torsion_flat(d, H)
-    )
-    return t0, t1
+    t0, t1 = _torsion_flat(d, H)
+    rows = np.concatenate((t0, t1, -t1))  # traces 0, 1, -1: disjoint
+    rows = rows[np.lexsort(rows.T[::-1])].tolist()
+    return [OMatrix.from_flat(tuple(m)) for m in rows]
 
 
 def _candidate_pairs(
@@ -243,15 +235,13 @@ def _candidate_pairs(
     in lexicographic order.
 
     The two coordinates of trace(U*V) are vec(U).M.vec(V) for two 8x8
-    integer forms M, evaluated in float64 within the bound of _exact_ring.
-    With integral given, only the pairs whose W = (1 - U - V - UV)/2 is, or
-    is not, integral are kept: the parity of 2W is evaluated in int64 on the
-    entries and ring constants taken mod 2, which leave it unchanged.
+    integer forms M, evaluated on a float64 copy within the bound of
+    _exact_ring. With integral given, only the pairs whose W = (1 - U - V -
+    UV)/2 is, or is not, integral are kept: the parity of 2W is evaluated on
+    the int64 entries and ring constants mod 2, which leave it unchanged.
     """
-    flats = _torsion_flat(d, H)
-    left, right = flats[trace], flats[0]
-    if not left or not right:
-        return
+    tables = _torsion_flat(d, H)
+    left, right = tables[trace], tables[0]
     import numpy as np
 
     s, t = _ring_constants(d)
@@ -263,22 +253,20 @@ def _candidate_pairs(
         My[i][j + 1] += 1
         My[i + 1][j] += 1
         My[i + 1][j + 1] += s
-    arrays = _torsion_arrays(d, H)
-    A, B = arrays[trace], arrays[0]
+    A, B = left.astype(np.float64), right.astype(np.float64)
     BxT = (B @ Mx.T).T
     ByT = (B @ My.T).T
-    chunk = max(1, _CHUNK // len(right))
+    chunk = max(1, _CHUNK // max(1, len(right)))
     for lo in range(0, len(A), chunk):
         blk = A[lo : lo + chunk]
         i, j = np.nonzero(((blk @ BxT) == 0.0) & ((blk @ ByT) == 0.0))
+        i += lo
         if integral is not None:
-            U = (blk[i] % 2).astype(np.int64).T
-            V = (B[j] % 2).astype(np.int64).T
-            _, even = _half_extension(tuple(U), tuple(V), s % 2, t % 2)
-            keep = even == integral
-            i, j = i[keep], j[keep]
+            U, V = tuple((left[i] & 1).T), tuple((right[j] & 1).T)
+            _, even = _half_extension(U, V, s & 1, t & 1)
+            i, j = i[even == integral], j[even == integral]
         for a, b in zip(i.tolist(), j.tolist()):
-            yield left[lo + a], right[b]
+            yield tuple(left[a].tolist()), tuple(right[b].tolist())
 
 
 def _half_extension(U: Flat, V: Flat, s: int, t: int) -> tuple[Flat, bool]:
@@ -326,6 +314,27 @@ def _check_d2_pair(U: Flat, V: Flat, s: int, t: int) -> bool:
     return UV == _mneg(VU)
 
 
+def _witness(
+    kind: SubgroupKind, U: Flat, V: Flat, s: int, t: int
+) -> Optional[SubgroupWitness]:
+    """The witness of the group type that U and V generate, or None when
+    they fail its defining relations. For T the third generator is the
+    integral W = (1 - U - V - UV)/2, which must have W^3 = -I."""
+    gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
+    if kind is SubgroupKind.D3:
+        return SubgroupWitness(kind, gens) if _check_d3(U, V, s, t) else None
+    if not _check_d2_pair(U, V, s, t):
+        return None
+    w2, integral = _half_extension(U, V, s, t)
+    if integral != (kind is SubgroupKind.T):
+        return None
+    if integral:
+        if _mmul(_mmul(w2, w2, s, t), w2, s, t) != _scalar(-8):
+            return None
+        gens += (OMatrix.from_flat(tuple(x // 2 for x in w2)),)  # type: ignore[arg-type]
+    return SubgroupWitness(kind, gens)
+
+
 def find_subgroup(
     kind: SubgroupKind, d: int, H: int
 ) -> Optional[SubgroupWitness]:
@@ -337,47 +346,17 @@ def find_subgroup(
     """
     s, t = _exact_ring(d, H)
     if kind is SubgroupKind.D3:
-        for U, V in _candidate_pairs(d, H, 1):
-            if _check_d3(U, V, s, t):
-                gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
-                return SubgroupWitness(kind, gens)
-        return None
-    want_integral = kind is SubgroupKind.T
-    for U, V in _candidate_pairs(d, H, 0, want_integral):
-        if not _check_d2_pair(U, V, s, t):
-            continue
-        w2, integral = _half_extension(U, V, s, t)
-        if integral != want_integral:
-            continue
-        if integral:
-            w2_sq = _mmul(w2, w2, s, t)
-            if _mmul(w2_sq, w2, s, t) != _scalar(-8):
-                continue
-            W = OMatrix.from_flat(tuple(x // 2 for x in w2))  # type: ignore[arg-type]
-            gens = (OMatrix.from_flat(U), OMatrix.from_flat(V), W)
-        else:
-            gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
-        return SubgroupWitness(kind, gens)
-    return None
+        pairs = _candidate_pairs(d, H, 1)
+    else:
+        pairs = _candidate_pairs(d, H, 0, kind is SubgroupKind.T)
+    witnesses = (_witness(kind, U, V, s, t) for U, V in pairs)
+    return next((w for w in witnesses if w is not None), None)
 
 
 def verify_witness(witness: SubgroupWitness, d: int) -> bool:
-    """Exact re-verification of a witness's defining relations, independent
-    of how it was found."""
-    s, t = _ring_constants(d)
-    U = witness.generators[0].flat()
-    V = witness.generators[1].flat()
-    if witness.kind is SubgroupKind.D3:
-        return len(witness.generators) == 2 and _check_d3(U, V, s, t)
-    if not _check_d2_pair(U, V, s, t):
+    """Exact re-verification of a witness: its first two generators pass the
+    defining relations of its kind and rebuild it generator for generator."""
+    if len(witness.generators) < 2:
         return False
-    w2, integral = _half_extension(U, V, s, t)
-    if witness.kind is SubgroupKind.T:
-        if len(witness.generators) != 3 or not integral:
-            return False
-        W = witness.generators[2].flat()
-        if tuple(2 * x for x in W) != w2:
-            return False
-        w2_sq = _mmul(w2, w2, s, t)
-        return _mmul(w2_sq, w2, s, t) == _scalar(-8)
-    return len(witness.generators) == 2 and not integral
+    U, V = (m.flat() for m in witness.generators[:2])
+    return _witness(witness.kind, U, V, *_ring_constants(d)) == witness

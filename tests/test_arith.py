@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +23,8 @@ small_nonzero = st.integers(min_value=-300, max_value=300).filter(lambda n: n !=
 
 
 def test_place_validation():
-    assert Place.finite(7).p == 7
-    assert Place.infinity().is_infinite
+    assert Place(7).p == 7 and not Place(7).is_infinite
+    assert INFINITY.is_infinite and INFINITY.p is None
     with pytest.raises(ValueError):
         Place(6)
     with pytest.raises(ValueError):
@@ -46,7 +48,7 @@ def test_factorize_rejects_zero_and_overflow():
 @given(nonzero_ints)
 def test_factorize_roundtrip(n):
     fac = factorize(n)
-    assert fac.value() == n
+    assert fac.sign * prod(p**e for p, e in fac.factors) == n
     assert list(fac.primes()) == sorted(set(fac.primes()))
     assert all(e >= 1 and is_prime(p) for p, e in fac.factors)
 

@@ -282,6 +282,35 @@ def test_verify_rejects_height_below_one(capsys):
     assert "--height" in err and "pass" not in out
 
 
+def test_verify_rejects_options_the_suite_does_not_read(capsys):
+    for suite, option in (
+        ("local", "--dmax"),
+        ("reciprocity", "--dmax"),
+        ("reciprocity", "--height"),
+        ("gamma", "--height"),
+        ("existence", "--height"),
+        ("autindex", "--height"),
+        ("local", "--height"),
+    ):
+        code, out, err = run(capsys, "verify", "--suite", suite, option, "5")
+        assert code == 2, (suite, option)
+        assert option in err and out == "", (suite, option)
+
+
+def test_verify_local_checks_the_r0_rows(capsys, monkeypatch):
+    import bianchi.orders as orders
+
+    table = orders.local_embedding_count
+    monkeypatch.setattr(
+        orders,
+        "local_embedding_count",
+        lambda q: 2 if q.index_exponent == 0 else table(q),
+    )
+    code, out, err = run(capsys, "verify", "--suite", "local")
+    assert code == 1 and out == "suite local: 4 failure(s)\n"
+    assert err.count("r=0: got 1, table says 2") == 4
+
+
 def test_height_outside_search_range_is_a_usage_error(capsys):
     for argv in (
         ("verify", "--suite", "subgroups", "--height", "17"),

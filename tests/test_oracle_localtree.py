@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from bianchi.arith import valuation
+from bianchi.arith import Place, hilbert_symbol, valuation
 from bianchi.oracle.localtree import (
     _congruence_lattice,
+    _counts_at_precisions,
     _det,
     _smallest_nonresidue,
     count_maximal_orders_local,
@@ -123,9 +124,9 @@ def test_counts_p3_d3(tau, expected):
 
 def test_count_stable_under_extra_precision():
     k = ImagQuadField(3)
-    assert count_maximal_orders_local(3, k, -1, 2) == count_maximal_orders_local(
-        3, k, -1, 2, precision=6
-    )
+    eps = hilbert_symbol(-1, -3, Place(3))
+    counts = _counts_at_precisions(k, 3, eps, 2, (5, 6, 7))
+    assert counts == [count_maximal_orders_local(3, k, -1, 2)] * 3
 
 
 def test_tau_square_class_only_matters():
@@ -166,11 +167,7 @@ def test_counts_match_tables_at_p7():
     p, k = 7, ImagQuadField(7)
     for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
         for r in range(4):
-            expected = (
-                1
-                if r == 0
-                else local_embedding_count(
-                    LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
-                )
+            expected = local_embedding_count(
+                LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
             )
             assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)

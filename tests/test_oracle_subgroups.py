@@ -72,19 +72,27 @@ def _loop_torsion(d, H):
     return tuple(sorted(out[0])), tuple(sorted(out[1]))
 
 
+def _torsion_tuples(d, H):
+    """The two int64 tables of _torsion_flat(d, H) as tuples of row tuples."""
+    return tuple(tuple(map(tuple, table.tolist())) for table in _torsion_flat(d, H))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 30, 1019, LARGEST_ADMITTED_D])
 def test_torsion_pass_matches_the_loops(d):
     # d = 1 and 3 give the densest sets, with n = 0 rows, at the larger H
     heights = {1: (10, 16), 3: (10,)}.get(d, ())
     for H in (0, 1, 2, 6, *heights):
-        assert _torsion_flat(d, H) == _loop_torsion(d, H), H
+        for table in _torsion_flat(d, H):
+            assert table.dtype.name == "int64" and table.shape[1:] == (8,), H
+            assert not table.flags.writeable, H  # the cache's one copy
+        assert _torsion_tuples(d, H) == _loop_torsion(d, H), H
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 19, LARGEST_ADMITTED_D])
 def test_torsion_sets_are_closed_under_tr_minus_a(d):
     # A -> tr*I - A: (alpha, beta, gamma, delta) -> (delta, -beta, -gamma, alpha)
     for H in (1, 2, 6, 10):
-        for tr, flats in zip((0, 1), _torsion_flat(d, H)):
+        for tr, flats in zip((0, 1), _torsion_tuples(d, H)):
             images = [(*m[6:8], *(-x for x in m[2:6]), *m[0:2]) for m in flats]
             assert sorted(images) == list(flats), (tr, H)
             assert all(m != img for m, img in zip(flats, images))
@@ -159,6 +167,23 @@ def test_witness_tampering_detected():
     assert w is not None
     bad = SubgroupWitness(w.kind, (w.generators[0], w.generators[0]))
     assert not verify_witness(bad, 1)
+
+
+def test_verify_witness_rejects_altered_generators():
+    t = find_subgroup(SubgroupKind.T, 1, 4)
+    d2 = find_subgroup(SubgroupKind.D2MAX, 1, 2)
+    d3 = find_subgroup(SubgroupKind.D3, 3, 2)
+    assert all(verify_witness(w, d) for w, d in ((t, 1), (d2, 1), (d3, 3)))
+    U, V, W = t.generators
+    minus_w = OMatrix.from_flat(tuple(-x for x in W.flat()))
+    for bad_w in (minus_w, U):  # W replaced by -W or by U
+        assert not verify_witness(SubgroupWitness(t.kind, (U, V, bad_w)), 1)
+    extra = SubgroupWitness(d2.kind, (*d2.generators, d2.generators[0]))
+    assert not verify_witness(extra, 1)  # D2MAX with a third generator
+    swapped = SubgroupWitness(d3.kind, d3.generators[::-1])
+    assert not verify_witness(swapped, 3)  # D3 with U and V swapped
+    for w, d in ((t, 1), (d2, 1), (d3, 3)):  # one generator only
+        assert verify_witness(SubgroupWitness(w.kind, w.generators[:1]), d) is False
 
 
 def _loop_search(kind, d, H):
