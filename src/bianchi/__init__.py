@@ -37,7 +37,6 @@ from .orders import (
     LocalCountQuery,
     automorphism_index,
     compatible_order_exists,
-    embedding_class_counts,
     global_embedding_count,
     intersection_character,
     joint_intersection_factor,
@@ -92,7 +91,6 @@ __all__ = [
     "LocalCountQuery",
     "automorphism_index",
     "compatible_order_exists",
-    "embedding_class_counts",
     "global_embedding_count",
     "intersection_character",
     "joint_intersection_factor",

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .orders import HilbertCharacter, LambdaLike, _lam, embedding_class_counts
+from .orders import FieldPass, HilbertCharacter, IncompatibleIndexError, LambdaLike
+from .orders import _lam, global_embedding_count
 from .quadfield import ImagQuadField, is_ideal_norm
 from .quaternion import SubgroupKind, group_algebra, sigma
 
@@ -28,9 +29,11 @@ class GammaMismatchError(RuntimeError):
 FieldLike = Union[int, ImagQuadField]
 
 
-def _field(d: FieldLike) -> ImagQuadField:
+def _field(d: Union[FieldLike, FieldPass]) -> ImagQuadField:
     # NonSquarefreeError propagates: every criterion assumes squarefree d
-    return d if isinstance(d, ImagQuadField) else ImagQuadField(d)
+    if isinstance(d, ImagQuadField):
+        return d
+    return d.k if isinstance(d, FieldPass) else ImagQuadField(d)
 
 
 def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
@@ -88,45 +91,42 @@ def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
     return True
 
 
-def gamma(kind: SubgroupKind, d: FieldLike) -> int:
+def gamma(kind: SubgroupKind, d: FieldLike, *, host: bool | None = None) -> int:
     """Conjugacy classes of maximal finite subgroups of the given type in
     the unit group of a maximal order of its host algebra (closed form).
 
     D3 counts over t = #primes != 3 of the discriminant; T and maximal D2
     count over t = #odd primes of d. The answer is 2^t except in the
     division-host cases, where it doubles exactly when every relevant prime
-    of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8).
+    of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8). A
+    caller that holds host = host_algebra_split(kind, d) may pass it.
     """
     k = _field(d)
-    odd = [p for p in k.primes if p != 2]
+    if host is None:
+        host = host_algebra_split(kind, k)  # raises for D2, d = 3 mod 4
     if kind is SubgroupKind.D3:
-        t = sum(1 for p in k.discriminant_primes() if p != 3)
-        if k.d % 3 != 2:
-            return 1 << t
-        if all(p % 12 in (1, 11) for p in odd):
-            return 1 << (t + 1)
-        return 1 << t
-    if kind is SubgroupKind.T:
-        t = len(odd)
-        if k.d % 8 != 7:
-            return 1 << t
-        if all(p % 8 in (1, 7) for p in k.primes):
-            return 1 << (t + 1)
-        return 1 << t
-    host_algebra_split(kind, k)  # raises for d = 3 mod 4
-    return 1 << len(odd)
+        t = len(k.discriminant_primes()) - (k.d % 3 == 0)
+        doubles = not host and all(p % 12 in (1, 11) for p in k.primes if p != 2)
+    else:  # the host of maximal D2 is split
+        t = len(k.primes) - (k.d % 2 == 0)
+        doubles = not host and all(p % 8 in (1, 7) for p in k.primes)
+    return 1 << (t + 1) if doubles else 1 << t
 
 
 def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     """The same count along the independent embedding path: B1 / (group aut
     index), with B1 = 2 * C(group order) * [Aut : Inn of the maximal order]
-    from ``embedding_class_counts``.
+    the norm-one conjugacy count of optimal embeddings; d may be a report's
+    ``FieldPass``. NoHostOrderError if no order is compatible (D2, d = 3 mod 4).
     """
-    k = _field(d)
     data = group_algebra(kind)
-    if kind is SubgroupKind.D2MAX:
-        host_algebra_split(kind, k)  # raises for d = 3 mod 4
-    _, B1 = embedding_class_counts(data.lambda_of_group_order, data.algebra, k)
+    F, lam = data.algebra, data.lambda_of_group_order
+    fp = d if isinstance(d, FieldPass) else FieldPass(_field(d), (F,))
+    sk, aut = fp.counts[F.ramified]
+    try:
+        B1 = 2 * global_embedding_count(lam, F, fp.k, sk=sk, splits=fp.splits) * aut
+    except IncompatibleIndexError as exc:
+        raise NoHostOrderError(str(exc)) from exc
     if B1 % data.aut_index:
         raise GammaMismatchError(
             f"embedding-path count {B1} not divisible by {data.aut_index}"
@@ -134,17 +134,19 @@ def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     return B1 // data.aut_index
 
 
-def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:
+def checked_gamma(kind: SubgroupKind, d: FieldLike, *, host: bool | None = None) -> int:
     """The conjugacy count by both ``gamma`` and ``gamma_composed``, the one
     place where the two paths are compared: raises GammaMismatchError unless
-    they agree on a power of 2. NoHostOrderError propagates."""
-    k = _field(d)
-    closed = gamma(kind, k)
-    embedded = gamma_composed(kind, k)
+    they agree on a power of 2; a NoHostOrderError of the closed form propagates."""
+    closed = gamma(kind, d, host=host)
+    try:
+        embedded = gamma_composed(kind, d)
+    except NoHostOrderError:
+        embedded = None
     if closed != embedded or closed < 1 or closed & (closed - 1):
         raise GammaMismatchError(
-            f"conjugacy-count paths disagree or give no power of 2 for "
-            f"{kind.value}, d={k.d}: closed form {closed}, embedding path {embedded}"
+            f"conjugacy-count paths disagree or give no power of 2 for {kind.value}, "
+            f"d={_field(d).d}: closed form {closed}, embedding path {embedded}"
         )
     return closed
 
@@ -170,17 +172,21 @@ class ClassificationReport:
         raise KeyError(kind)
 
 
+_ALGEBRAS = tuple(dict.fromkeys(group_algebra(kind).algebra for kind in SubgroupKind))
+
+
 def classify_report(d: FieldLike) -> ClassificationReport:
     """Full classification for one d, with the conjugacy count computed by
-    both paths and checked for equality."""
-    k = _field(d)
+    both paths and checked for equality; the kinds share one field pass."""
+    shared = FieldPass(_field(d), _ALGEBRAS)
     entries = []
     for kind in (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX):
-        fails = tuple(failing_primes(kind, k))
+        fails = tuple(failing_primes(kind, shared.k))
         try:
-            split = host_algebra_split(kind, k)
-            count = checked_gamma(kind, k)
+            split = host_algebra_split(kind, shared.k)
         except NoHostOrderError:
             split = count = None
+        else:
+            count = checked_gamma(kind, shared, host=split)
         entries.append(KindReport(kind, not fails, split, count, fails))
-    return ClassificationReport(k.d, tuple(entries))
+    return ClassificationReport(shared.k.d, tuple(entries))

@@ -210,11 +210,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     _check_dmax(args.dmax)
     kinds = _KIND_ORDER
-    if args.kinds:
+    if args.kinds is not None:  # left out, it means every kind
         names = [s.strip() for s in args.kinds.split(",") if s.strip()]
         bad = [s for s in names if s not in _KIND_BY_NAME]
-        if bad:
-            raise UsageError(f"unknown kinds: {','.join(bad)} (use d3,t,d2)")
+        if bad or not names:
+            raise UsageError(f"--kinds must name some of d3,t,d2, got {args.kinds!r}")
         kinds = tuple(k for k in _KIND_ORDER if k.value in names)
     totals = {k.value: 0 for k in kinds}
     n_rows = 0
@@ -492,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="classify all squarefree d up to a bound")
     p_scan.add_argument("--dmax", type=int, required=True)
-    p_scan.add_argument("--kinds", type=str, default="")
+    p_scan.add_argument("--kinds", type=str)
     p_scan.add_argument("--format", choices=("table", "json"), default="table")
     p_scan.set_defaults(func=cmd_scan)
 

@@ -9,19 +9,20 @@ the automorphism index of a maximal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from math import gcd, isqrt
 from typing import Optional, Union
 
 from .arith import (
+    INFINITY,
     Place,
+    _proven_place,
     factorize,
     hilbert_symbol,
-    relevant_places,
     squarefree_part,
     valuation,
 )
-from .quadfield import ImagQuadField, SplitType, is_ideal_norm, splitting
+from .quadfield import ImagQuadField, Splits, SplitType, is_ideal_norm, splitting
 from .quaternion import QuaternionAlgebraQ, embeds_in_common_extension, sigma, sigma_k
 
 
@@ -74,17 +75,21 @@ class HilbertCharacter:
         return not self.minus_places
 
     @classmethod
-    def of_square_class(cls, m: int, k: ImagQuadField) -> "HilbertCharacter":
+    def of_square_class(
+        cls, m: int, k: ImagQuadField, *, primes: Optional[list[int]] = None
+    ) -> "HilbertCharacter":
         """The character v -> (m, -d)_v, the one evaluator of that symbol.
 
         A positive square m gives the trivial character, with no symbol
         evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
         primes of m and d, so only those places are evaluated; d's places
-        are read from the field.
+        are read from the field, and m's from ``primes`` if given.
         """
         if m > 0 and isqrt(m) ** 2 == m:
             return cls(frozenset())
-        places = {*relevant_places(m), *k.places}
+        if primes is None:
+            primes = factorize(m).primes()
+        places = {INFINITY, *map(_proven_place, {2, *primes}), *k.places}
         return cls(frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1))
 
 
@@ -105,23 +110,28 @@ def _sigma_k_primes(F: QuaternionAlgebraQ, sk: int) -> tuple[int, ...]:
     """The primes of sk = sigma_k(F, k), ascending, read off F without
     factoring sk: the finite ramified primes of F that split in k, which
     are exactly those dividing sk."""
-    return tuple(p for p in F.finite_ramified if sk % p == 0)
+    return tuple(p for p in F.finite_ramified if sk % p == 0) if sk > 1 else ()
 
 
 def compatible_order_exists(
-    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
+    lam: int,
+    F: QuaternionAlgebraQ,
+    k: ImagQuadField,
+    *,
+    sk: Optional[int] = None,
+    splits: Optional[Splits] = None,
 ) -> bool:
     """Whether some order of index lam in a maximal order of F contains a
     copy of the quadratic ring at all primes dividing lam.
 
     Holds iff lam is coprime to sigma_k(F) and is an ideal norm of k. A
-    caller that holds sk = sigma_k(F, k) may pass it.
+    caller that holds sk = sigma_k(F, k), or ``splits``, may pass them.
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
     if sk is None:
-        sk = sigma_k(F, k)
-    return gcd(lam, sk) == 1 and is_ideal_norm(lam, k)
+        sk = sigma_k(F, k, splits=splits)
+    return gcd(lam, sk) == 1 and is_ideal_norm(lam, k, splits=splits)
 
 
 def maximal_orders_isomorphic(
@@ -247,7 +257,12 @@ def local_embedding_count(q: LocalCountQuery) -> int:
 
 
 def global_embedding_count(
-    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
+    lam: int,
+    F: QuaternionAlgebraQ,
+    k: ImagQuadField,
+    *,
+    sk: Optional[int] = None,
+    splits: Optional[Splits] = None,
 ) -> int:
     """Number of maximal orders of the extended k-algebra meeting F exactly
     in a fixed compatible order of index lam.
@@ -255,25 +270,22 @@ def global_embedding_count(
     Product of the local counts over the primes of lam together with the
     finite ramified primes of F that are inert in k (which contribute 2
     even at exponent 0); all other primes contribute 1. A caller that holds
-    sk = sigma_k(F, k) may pass it.
+    sk = sigma_k(F, k), or the ``splits`` of the primes of lam and F, may
+    pass them; lam is then not factored.
     """
-    if not compatible_order_exists(lam, F, k, sk=sk):
+    ram = F.finite_ramified
+    if splits is None:
+        splits = {p: splitting(k, p) for p in {*ram, *factorize(lam).primes()}}
+    if not compatible_order_exists(lam, F, k, sk=sk, splits=splits):
         raise IncompatibleIndexError(
             f"index {lam} is not compatible for this algebra over d={k.d}"
         )
-    ram = set(F.finite_ramified)
-    primes = set(factorize(lam).primes()) if lam > 1 else set()
-    primes |= {p for p in ram if splitting(k, p) is SplitType.INERT}
     count = 1
-    for p in sorted(primes):
-        q = LocalCountQuery(
-            p=p,
-            split_type=splitting(k, p),
-            algebra_split=p not in ram,
-            index_exponent=valuation(lam, p) if lam % p == 0 else 0,
-            d_mod4=k.d % 4 if p == 2 else None,
-        )
-        count *= local_embedding_count(q)
+    for p in sorted(splits):
+        if lam % p == 0 or (p in ram and splits[p] is SplitType.INERT):
+            d_mod4 = k.d % 4 if p == 2 else None
+            q = LocalCountQuery(p, splits[p], p not in ram, valuation(lam, p), d_mod4)
+            count *= local_embedding_count(q)
     return count
 
 
@@ -284,10 +296,14 @@ def unit_character_divisors(
     caller that holds sk = sigma_k(F, k) may pass it."""
     if sk is None:
         sk = sigma_k(F, k)
-    return [
+    qs = _sigma_k_primes(F, sk)
+    # 1 is a square: its character is trivial, with nothing to evaluate
+    return [1] + [
         f
-        for f in _divisors_of_primes(_sigma_k_primes(F, sk))
-        if HilbertCharacter.of_square_class(f, k).is_trivial
+        for f in _divisors_of_primes(qs)[1:]
+        if HilbertCharacter.of_square_class(
+            f, k, primes=[q for q in qs if f % q == 0]
+        ).is_trivial
     ]
 
 
@@ -302,7 +318,7 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     sk = sigma_k(F, k)
     if sk == 1:
         return 0  # no primes q, so the pairing matrix has no columns
-    qs = factorize(sk).primes()
+    qs = _sigma_k_primes(F, sk)
     # the field holds the places of d; only 2 may need building
     own = dict(zip(k.primes, k.places))
     rows = []
@@ -342,12 +358,17 @@ def automorphism_index(
     return 1 << (t + r + s - 1)
 
 
-def embedding_class_counts(
-    lam: int, F: QuaternionAlgebraQ, k: ImagQuadField
-) -> tuple[int, int]:
-    """(B, B1): unit-conjugacy and norm-one-conjugacy class counts of optimal
-    embeddings of the compatible order of index lam; B1 = 2B. sigma_k(F)
-    is computed once and shared by both factors."""
-    sk = sigma_k(F, k)
-    B = global_embedding_count(lam, F, k, sk=sk) * automorphism_index(F, k, sk=sk)
-    return B, 2 * B
+@dataclass(eq=False)
+class FieldPass:
+    """What a report works out once for its field and keeps for that report only:
+    the splitting of 2 and 3 in k, and (sigma_k, automorphism index) per algebra."""
+
+    k: ImagQuadField
+    algebras: InitVar[tuple[QuaternionAlgebraQ, ...]]
+
+    def __post_init__(self, algebras: tuple[QuaternionAlgebraQ, ...]) -> None:
+        self.splits: Splits = {2: splitting(self.k, 2), 3: splitting(self.k, 3)}
+        self.counts: dict[frozenset, tuple[int, int]] = {}
+        for F in algebras:
+            sk = sigma_k(F, self.k, splits=self.splits)
+            self.counts[F.ramified] = (sk, automorphism_index(F, self.k, sk=sk))

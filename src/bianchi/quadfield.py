@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .arith import Place, _proven_place, factorize, kronecker
+from .arith import Place, _proven_place, factorize, kronecker, valuation
 
 
 class NonSquarefreeError(ValueError):
@@ -16,6 +16,10 @@ class SplitType(enum.Enum):
     SPLIT = "split"
     INERT = "inert"
     RAMIFIED = "ramified"
+
+
+#: The splitting in k of primes a caller has worked out once and passes down
+Splits = dict[int, SplitType]
 
 
 @dataclass(frozen=True)
@@ -78,18 +82,17 @@ def splitting(k: ImagQuadField, p: int) -> SplitType:
     return SplitType.SPLIT if s == 1 else SplitType.INERT
 
 
-def is_ideal_norm(lam: int, k: ImagQuadField) -> bool:
+def is_ideal_norm(lam: int, k: ImagQuadField, *, splits: Splits | None = None) -> bool:
     """Whether lam is the absolute norm of an integral ideal of k.
 
     Split and ramified primes realize every exponent; an inert prime only
     contributes squares, so the condition is that v_p(lam) is even at every
-    inert p.
+    inert p. A caller that holds the splitting of every prime of lam may
+    pass it as ``splits``, and lam is then not factored.
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
-    if lam == 1:
-        return True  # the norm of o itself, with nothing to factor
-    for p, e in factorize(lam).factors:
-        if e % 2 and splitting(k, p) is SplitType.INERT:
-            return False
-    return True
+    if splits is None:
+        splits = {p: splitting(k, p) for p in factorize(lam).primes()}
+    inert = [p for p, s in splits.items() if s is SplitType.INERT]
+    return not any(valuation(lam, p) % 2 for p in inert)

@@ -19,7 +19,7 @@ from .arith import (
     relevant_places,
     squarefree_part,
 )
-from .quadfield import ImagQuadField, SplitType, splitting
+from .quadfield import ImagQuadField, Splits, SplitType, splitting
 
 
 class SubgroupKind(enum.Enum):
@@ -77,15 +77,17 @@ def sigma(F: QuaternionAlgebraQ) -> int:
     return -s if F.ramified_at_infinity else s
 
 
-def sigma_k(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
+def sigma_k(
+    F: QuaternionAlgebraQ, k: ImagQuadField, *, splits: Splits | None = None
+) -> int:
     """Product of the finite ramified primes of F that split in k.
 
     This invariant decides which k-quaternion algebra F extends to; it is 1
-    exactly when F embeds in M2(k).
+    exactly when F embeds in M2(k). A caller may pass the ``splits`` of F's primes.
     """
     s = 1
     for p in F.finite_ramified:
-        if splitting(k, p) is SplitType.SPLIT:
+        if (splits[p] if splits else splitting(k, p)) is SplitType.SPLIT:
             s *= p
     return s
 

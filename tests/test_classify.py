@@ -259,3 +259,49 @@ def test_classify_report_runs_the_embedding_path(monkeypatch):
     # the 2-dihedral index lam = 2 meets the prime 2, ramified in k exactly
     # when d = 1, 2 mod 4; no other count of these reports is ramified
     assert caught == [d for d in squarefree if d % 4 in (1, 2)]
+
+
+def test_no_result_outlives_a_report(monkeypatch):
+    from bianchi import orders
+    from bianchi.cli import _squarefree_range
+
+    fields = [ImagQuadField(5), *(k for k in _squarefree_range(1, 5) if k.d == 5)]
+    assert len(fields) == 2
+    for k in fields:
+        assert classify_report(k) == classify_report(5)
+    real = orders.unit_character_divisors
+
+    def doubled(F, k, *, sk=None):
+        # twice the divisors: still a power of 2, but twice the index
+        return 2 * real(F, k, sk=sk)
+
+    monkeypatch.setattr(orders, "unit_character_divisors", doubled)
+    for k in fields:
+        with pytest.raises(GammaMismatchError):
+            classify_report(k)
+
+
+def test_shared_pass_matches_the_per_function_api():
+    ds = [d for d in range(1, 2001) if is_squarefree(d)]
+    for d in ds + [10000000019, 3037000453 * 3037000493]:
+        report = classify_report(d)
+        for kind in KINDS:
+            count = report.for_kind(kind).gamma
+            assert (count is None) == (kind is SubgroupKind.D2MAX and d % 4 == 3)
+            if count is None:
+                for path in (gamma, gamma_composed):
+                    with pytest.raises(NoHostOrderError):
+                        path(kind, d)
+            else:
+                assert count == gamma(kind, d) == gamma_composed(kind, d), (kind, d)
+
+
+def test_checked_gamma_rejects_a_host_only_the_embedding_path_denies(monkeypatch):
+    from bianchi import classify
+
+    def no_host(kind, d):
+        raise NoHostOrderError("no compatible order")
+
+    monkeypatch.setattr(classify, "gamma_composed", no_host)
+    with pytest.raises(GammaMismatchError):
+        classify.checked_gamma(SubgroupKind.D2MAX, 5)

@@ -12,6 +12,7 @@ from bianchi.arith import factorize
 from bianchi.classify import gamma_composed
 from bianchi.cli import _build_parser, _squarefree_range, main
 from bianchi.quadfield import ImagQuadField, NonSquarefreeError
+from bianchi.quaternion import sigma_k
 
 
 def run(capsys, *argv):
@@ -185,8 +186,15 @@ def test_scan_json(capsys):
 
 
 def test_scan_rejects_bad_kinds(capsys):
-    code, _, err = run(capsys, "scan", "--dmax", "10", "--kinds", "q8")
-    assert code == 2
+    # an unknown kind, or a value that names no kind at all
+    for kinds in ("q8", ",,", "", " , "):
+        code, out, err = run(capsys, "scan", "--dmax", "10", "--kinds", kinds)
+        assert code == 2 and out == "", kinds
+        assert "--kinds" in err, kinds
+    # left out, --kinds means every kind
+    code, out, _ = run(capsys, "scan", "--dmax", "10")
+    assert code == 0
+    assert out.splitlines()[0].split()[1:4] == ["d3", "t", "d2"]
 
 
 def test_gamma_command(capsys):
@@ -323,13 +331,17 @@ def test_height_outside_search_range_is_a_usage_error(capsys):
 
 
 def test_scan_factors_no_d(capsys, monkeypatch, record_calls):
+    # nor anything else: the primes of each d come from the sieve, and those
+    # of the group indices and of sigma_k from the field pass of each report
     monkeypatch.setenv("BIANCHI_THREADS", "1")
-    seen = record_calls(factorize)
-    code, _, _ = run(capsys, "scan", "--dmax", "100", "--format", "json")
+    factored = record_calls(factorize)
+    sigma_ks = record_calls(sigma_k)
+    code, out, _ = run(capsys, "scan", "--dmax", "1000", "--format", "json")
     assert code == 0
-    # every report factors its indices and symbol arguments, which lie in
-    # {1, 2, 3}; the primes of each d come from the sieve
-    assert all(seen.count(d) == 0 for d in range(4, 101))
+    n_d = len(json.loads(out)["rows"])
+    assert n_d == 608
+    assert factored == []
+    assert len(sigma_ks) <= 2 * n_d
 
 
 def test_oracle_subgroups_rejects_d_beyond_exact_range(capsys):

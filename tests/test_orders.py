@@ -12,7 +12,6 @@ from bianchi.orders import (
     LocalCountQuery,
     automorphism_index,
     compatible_order_exists,
-    embedding_class_counts,
     global_embedding_count,
     intersection_character,
     joint_intersection_factor,
@@ -250,10 +249,11 @@ def test_automorphism_index_examples():
     assert automorphism_index(FD3, make_field(5)) == 4
 
 
-def test_embedding_class_counts_examples():
-    assert embedding_class_counts(1, MATRIX_ALGEBRA, make_field(1)) == (1, 2)
-    assert embedding_class_counts(2, FT, make_field(1)) == (3, 6)
-    assert embedding_class_counts(1, FD3, make_field(3)) == (1, 2)
+def test_unit_conjugacy_class_count_examples():
+    # B = C(lam) * [Aut : Inn], the unit-conjugacy classes of optimal embeddings
+    for lam, F, d, B in ((1, MATRIX_ALGEBRA, 1, 1), (2, FT, 1, 3), (1, FD3, 3, 1)):
+        k = make_field(d)
+        assert global_embedding_count(lam, F, k) * automorphism_index(F, k) == B
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 14, 15, 21, 30])
