@@ -15,7 +15,7 @@ from typing import Optional, Union
 from .orders import FieldPass, HilbertCharacter, IncompatibleIndexError, LambdaLike
 from .orders import _lam, global_embedding_count
 from .quadfield import ImagQuadField, is_ideal_norm
-from .quaternion import SubgroupKind, group_algebra, sigma
+from .quaternion import KINDS, SubgroupKind, group_algebra, sigma
 
 
 class NoHostOrderError(ValueError):
@@ -172,7 +172,7 @@ class ClassificationReport:
         raise KeyError(kind)
 
 
-_ALGEBRAS = tuple(dict.fromkeys(group_algebra(kind).algebra for kind in SubgroupKind))
+_ALGEBRAS = tuple(dict.fromkeys(group_algebra(kind).algebra for kind in KINDS))
 
 
 def classify_report(d: FieldLike) -> ClassificationReport:
@@ -180,7 +180,7 @@ def classify_report(d: FieldLike) -> ClassificationReport:
     both paths and checked for equality; the kinds share one field pass."""
     shared = FieldPass(_field(d), _ALGEBRAS)
     entries = []
-    for kind in (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX):
+    for kind in KINDS:
         fails = tuple(failing_primes(kind, shared.k))
         try:
             split = host_algebra_split(kind, shared.k)

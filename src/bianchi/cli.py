@@ -30,6 +30,8 @@ from .classify import (
 from .orders import ramified_pairing_rank, unit_character_divisors
 from .quadfield import ImagQuadField, NonSquarefreeError
 from .quaternion import (
+    KINDS,
+    QuaternionAlgebraQ,
     SubgroupKind,
     from_hilbert_pair,
     group_algebra,
@@ -47,14 +49,6 @@ _PROVENANCE = [
     "local-embedding-count-tables",
     "conjugacy-class-count-formulas",
 ]
-
-_KIND_BY_NAME = {
-    "d3": SubgroupKind.D3,
-    "t": SubgroupKind.T,
-    "d2": SubgroupKind.D2MAX,
-}
-
-_KIND_ORDER = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
 
 #: Below this dmax a process pool costs more to start than it saves.
 _POOL_MIN_DMAX = 100
@@ -209,13 +203,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     _check_dmax(args.dmax)
-    kinds = _KIND_ORDER
+    kinds = KINDS
     if args.kinds is not None:  # left out, it means every kind
         names = [s.strip() for s in args.kinds.split(",") if s.strip()]
-        bad = [s for s in names if s not in _KIND_BY_NAME]
-        if bad or not names:
-            raise UsageError(f"--kinds must name some of d3,t,d2, got {args.kinds!r}")
-        kinds = tuple(k for k in _KIND_ORDER if k.value in names)
+        try:
+            chosen = set(map(SubgroupKind, names))
+        except ValueError:
+            chosen = set()
+        if not chosen:
+            listed = ",".join(k.value for k in KINDS)
+            raise UsageError(f"--kinds must name some of {listed}, got {args.kinds!r}")
+        kinds = tuple(k for k in KINDS if k in chosen)
     totals = {k.value: 0 for k in kinds}
     n_rows = 0
     json_mode = args.format == "json"
@@ -255,7 +253,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    kind = _KIND_BY_NAME[args.kind]
+    kind = SubgroupKind(args.kind)
     k = ImagQuadField(args.d)
     # NoHostOrderError is a ValueError: main reports it as a usage error
     value = checked_gamma(kind, k)
@@ -297,21 +295,24 @@ def _suite_reciprocity() -> list[str]:
     return failures
 
 
+def _range_failures(check: Callable[..., list[str]], dmax: int, **options) -> list[str]:
+    """The failures of a per-field check, given the suite's other options,
+    over the field of every squarefree d <= dmax, in order of d."""
+    fn = partial(check, **options)
+    return [f for rows in _pool_map(fn, dmax, _workers()) for f in rows]
+
+
 def _existence_failures_at(k: ImagQuadField) -> list[str]:
     return [
         f"symbol/congruence mismatch: {kind.value}, d={k.d}"
-        for kind in _KIND_ORDER
+        for kind in KINDS
         if contains_in_order(kind, 1, k) != contains_in_psl2o(kind, k)
     ]
 
 
-def _suite_existence(dmax: int) -> list[str]:
-    return [f for rows in _pool_map(_existence_failures_at, dmax, _workers()) for f in rows]
-
-
 def _gamma_failures_at(k: ImagQuadField) -> list[str]:
     failures = []
-    for kind in _KIND_ORDER:
+    for kind in KINDS:
         try:
             checked_gamma(kind, k)
         except NoHostOrderError:
@@ -321,48 +322,47 @@ def _gamma_failures_at(k: ImagQuadField) -> list[str]:
     return failures
 
 
-def _suite_gamma(dmax: int) -> list[str]:
-    return [f for rows in _pool_map(_gamma_failures_at, dmax, _workers()) for f in rows]
-
-
-def _suite_autindex(dmax: int) -> list[str]:
-    failures = []
-    algebras = [
+@cache
+def _autindex_algebras() -> tuple[QuaternionAlgebraQ, ...]:
+    """The algebras of the autindex suite, built once per process."""
+    return (
         group_algebra(SubgroupKind.D3).algebra,
         group_algebra(SubgroupKind.T).algebra,
         from_hilbert_pair(-1, 3),
         from_hilbert_pair(2, 5),
         from_hilbert_pair(-1, 7),
-    ]
-    for k in _squarefree_range(1, dmax):
-        for F in algebras:
-            sk = sigma_k(F, k)
-            r = len(factorize(sk).primes()) if sk > 1 else 0
-            n_trivial = len(unit_character_divisors(F, k))
-            s_enum = n_trivial.bit_length() - 1
-            if 1 << s_enum != n_trivial:
-                failures.append(f"divisor count not a power of 2: d={k.d}, {F}")
-                continue
-            if s_enum != r - ramified_pairing_rank(F, k):
-                failures.append(f"s-count/rank mismatch: d={k.d}, {F}")
+    )
+
+
+def _autindex_failures_at(k: ImagQuadField) -> list[str]:
+    failures = []
+    for F in _autindex_algebras():
+        sk = sigma_k(F, k)
+        r = len(factorize(sk).primes()) if sk > 1 else 0
+        n_trivial = len(unit_character_divisors(F, k))
+        s_enum = n_trivial.bit_length() - 1
+        if 1 << s_enum != n_trivial:
+            failures.append(f"divisor count not a power of 2: d={k.d}, {F}")
+            continue
+        if s_enum != r - ramified_pairing_rank(F, k):
+            failures.append(f"s-count/rank mismatch: d={k.d}, {F}")
     return failures
 
 
-def _suite_subgroups(dmax: int, height: int) -> list[str]:
+def _subgroup_failures_at(k: ImagQuadField, height: int) -> list[str]:
     failures = []
-    for k in _squarefree_range(1, dmax):
-        for kind in _KIND_ORDER:
-            predicted = contains_in_psl2o(kind, k)
-            witness = find_subgroup(kind, k.d, height)
-            if predicted and witness is None:
-                failures.append(
-                    f"no witness within height {height} although existence "
-                    f"is predicted: {kind.value}, d={k.d}"
-                )
-            if not predicted and witness is not None:
-                failures.append(
-                    f"witness found but nonexistence predicted: {kind.value}, d={k.d}"
-                )
+    for kind in KINDS:
+        predicted = contains_in_psl2o(kind, k)
+        witness = find_subgroup(kind, k.d, height)
+        if predicted and witness is None:
+            failures.append(
+                f"no witness within height {height} although existence "
+                f"is predicted: {kind.value}, d={k.d}"
+            )
+        if not predicted and witness is not None:
+            failures.append(
+                f"witness found but nonexistence predicted: {kind.value}, d={k.d}"
+            )
     return failures
 
 
@@ -402,10 +402,14 @@ class _Suite(NamedTuple):
 
 _SUITES = {
     "reciprocity": _Suite(_suite_reciprocity),
-    "existence": _Suite(_suite_existence, dmax=1000),
-    "gamma": _Suite(_suite_gamma, dmax=500),
-    "autindex": _Suite(_suite_autindex, dmax=200),
-    "subgroups": _Suite(_suite_subgroups, dmax=30, height=_DEFAULT_HEIGHT),
+    "existence": _Suite(partial(_range_failures, _existence_failures_at), dmax=1000),
+    "gamma": _Suite(partial(_range_failures, _gamma_failures_at), dmax=500),
+    "autindex": _Suite(partial(_range_failures, _autindex_failures_at), dmax=200),
+    "subgroups": _Suite(
+        partial(_range_failures, _subgroup_failures_at),
+        dmax=30,
+        height=_DEFAULT_HEIGHT,
+    ),
     "local": _Suite(_suite_local),
 }
 
@@ -435,7 +439,7 @@ def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
     _check_height(args.height)
     height = _DEFAULT_HEIGHT if args.height is None else args.height
     results = {}
-    for kind in _KIND_ORDER:
+    for kind in KINDS:
         witness = find_subgroup(kind, args.d, height)
         if witness is None:
             results[kind.value] = None
@@ -498,7 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gamma = sub.add_parser("gamma", help="conjugacy class count for one kind")
     p_gamma.add_argument("--d", type=int, required=True)
-    p_gamma.add_argument("--kind", choices=sorted(_KIND_BY_NAME), required=True)
+    p_gamma.add_argument(
+        "--kind", choices=sorted(k.value for k in KINDS), required=True
+    )
     p_gamma.set_defaults(func=cmd_gamma)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")

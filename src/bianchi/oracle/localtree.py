@@ -13,8 +13,10 @@ classes h*J*o^2 for J = (pi^a, b; 0, pi^c), a + c = m, b a residue mod
 pi^a, with J not divisible by pi. For each vertex the intersection of
 F(tau) with the attached maximal order is computed exactly, by solving the
 integrality conditions as linear congruences mod p^K, and compared with the
-target p-locally. Every computation is in integers: a rational matrix is an
-integer numerator over one integer denominator, and J^-1 = adj(J) *
+target p-locally. Every computation is in integers, in the arithmetic of
+``ring`` over Z[pi] with (s, t) = (0, -d): an element u + w*pi is the pair
+(u, w), a matrix the flat 8-tuple of its entries, and a rational matrix an
+integer numerator over one integer denominator, so J^-1 = adj(J) *
 (-pi)^m / d^m since pi^m * (-pi)^m = d^m. The precision K is validated by
 repeating the count at K + 1.
 """
@@ -22,66 +24,26 @@ repeating the count at K + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from operator import mul
 
 from ..arith import Place, hilbert_symbol, is_prime, kronecker, valuation
 from ..quadfield import ImagQuadField, SplitType, splitting
+from .ring import Flat, Pair, _minv, _mmul, _mtrace, _scalar
 
 
 class PrecisionError(RuntimeError):
     """The vertex count changed when the working precision was raised."""
 
 
-# elements of k as integer pairs (u, w) = u + w * pi, pi = i*sqrt(d), so
-# pi^2 = -d; matrices row-major
-K = tuple[int, int]
-Mat = tuple[K, K, K, K]
 # a rational matrix: integer numerator, positive integer denominator
-RMat = tuple[Mat, int]
+RMat = tuple[Flat, int]
 # the Z_p-lattice p^-e * span(rows), rows in coordinates of the F(tau) basis
 Lattice = tuple[list[list[int]], int]
 
-_ZERO: K = (0, 0)
-_ONE: K = (1, 0)
-_PI: K = (0, 1)
-_IDENTITY: Mat = (_ONE, _ZERO, _ZERO, _ONE)
-
-
-def _kmul(d: int, z: K, w: K) -> K:
-    return (z[0] * w[0] - d * z[1] * w[1], z[0] * w[1] + z[1] * w[0])
-
-
-def _kconj(z: K) -> K:
-    return (z[0], -z[1])
-
-
-def _mmul(d: int, A: Mat, B: Mat) -> Mat:
-    (a0, a1), (b0, b1), (c0, c1), (e0, e1) = A
-    (w0, w1), (x0, x1), (y0, y1), (z0, z1) = B
-    return (
-        (a0 * w0 + b0 * y0 - d * (a1 * w1 + b1 * y1), a0 * w1 + a1 * w0 + b0 * y1 + b1 * y0),
-        (a0 * x0 + b0 * z0 - d * (a1 * x1 + b1 * z1), a0 * x1 + a1 * x0 + b0 * z1 + b1 * z0),
-        (c0 * w0 + e0 * y0 - d * (c1 * w1 + e1 * y1), c0 * w1 + c1 * w0 + e0 * y1 + e1 * y0),
-        (c0 * x0 + e0 * z0 - d * (c1 * x1 + e1 * z1), c0 * x1 + c1 * x0 + e0 * z1 + e1 * z0),
-    )
-
 
 def _rmul(d: int, X: RMat, Y: RMat) -> RMat:
-    return _mmul(d, X[0], Y[0]), X[1] * Y[1]
-
-
-def _inv(d: int, A: Mat) -> RMat:
-    """A^-1 = adj(A) * conj(det A) / norm(det A)."""
-    ad, bc = _kmul(d, A[0], A[3]), _kmul(d, A[1], A[2])
-    det = (ad[0] - bc[0], ad[1] - bc[1])
-    norm = det[0] * det[0] + d * det[1] * det[1]
-    if norm == 0:
-        raise ZeroDivisionError("singular matrix over k")
-    c = _kconj(det)
-    adj = (A[3], (-A[1][0], -A[1][1]), (-A[2][0], -A[2][1]), A[0])
-    return tuple(_kmul(d, z, c) for z in adj), norm  # type: ignore[return-value]
+    return _mmul(X[0], Y[0], 0, -d), X[1] * Y[1]
 
 
 # --- exact integer lattice algebra -------------------------------------
@@ -175,13 +137,13 @@ def _inside(lat: Lattice, dual: tuple[list[list[int]], int], p: int) -> bool:
 # --- the algebra F(tau) and its distinguished orders ---------------------
 
 
-def _f_basis(tau: int) -> list[Mat]:
+def _f_basis(tau: int) -> list[Flat]:
     """Q-basis of F(tau): a in {1, pi} on the diagonal, b in {1, pi} off it."""
     return [
-        _IDENTITY,
-        (_PI, _ZERO, _ZERO, (0, -1)),
-        (_ZERO, _ONE, (tau, 0), _ZERO),
-        (_ZERO, _PI, (0, -tau), _ZERO),
+        _scalar(1),
+        (0, 1, 0, 0, 0, 0, 0, -1),
+        (0, 0, 1, 0, tau, 0, 0, 0),
+        (0, 0, 0, 1, 0, -tau, 0, 0),
     ]
 
 
@@ -192,10 +154,9 @@ def _lattice(mats: list[RMat], tau: int, p: int) -> Lattice:
     e = max(valuation(den, p) for _, den in mats)
     rows = []
     for X, den in mats:
-        a, b = X[0], X[1]
-        if X[2] != (tau * b[0], -tau * b[1]) or X[3] != _kconj(a):
+        if X[4:8] != (tau * X[2], -tau * X[3], X[0], -X[1]):
             raise ValueError("matrix does not lie in F(tau)")
-        rows.append([x * p ** (e - valuation(den, p)) for x in (*a, *b)])
+        rows.append([x * p ** (e - valuation(den, p)) for x in X[0:4]])
     return rows, e
 
 
@@ -206,7 +167,7 @@ class _Vertex:
 
     a: int
     c: int
-    b: K
+    b: Pair
     distance: int
 
 
@@ -228,25 +189,28 @@ def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[_Ver
     return out
 
 
-def _vertex_matrix(d: int, v: _Vertex) -> Mat:
-    pow_a = reduce(lambda z, _: _kmul(d, z, _PI), range(v.a), _ONE)
-    pow_c = reduce(lambda z, _: _kmul(d, z, _PI), range(v.c), _ONE)
-    return (pow_a, v.b, _ZERO, pow_c)
+def _vertex_matrix(d: int, v: _Vertex) -> Flat:
+    """(pi^a, b; 0, pi^c), as pi^n = (-d)^(n // 2) * pi^(n % 2)."""
+
+    def pi_power(n: int) -> Pair:
+        z = (-d) ** (n // 2)
+        return (0, z) if n % 2 else (z, 0)
+
+    return (*pi_power(v.a), *v.b, 0, 0, *pi_power(v.c))
 
 
 def _intersection(
-    conj: list[Mat], scale: int, p: int, K_prec: int
+    conj: list[Flat], scale: int, p: int, K_prec: int
 ) -> tuple[Lattice, int]:
     """The lattice of x in p^-K Z_p^4 with sum x_i * conj_i / D in M2(o_p),
     where the conj_i are integer matrices over one D with v_p(D) = scale,
     and its _volume, read off the solver's pivots."""
     mod = p ** (K_prec + scale)
     forms = []
-    for slot in range(4):
-        for coord in range(2):
-            g = [X[slot][coord] % mod for X in conj]
-            if any(g):
-                forms.append((g, K_prec + scale))
+    for slot in range(8):
+        g = [X[slot] % mod for X in conj]
+        if any(g):
+            forms.append((g, K_prec + scale))
     rows, exponent = _congruence_lattice(forms, p, 4)
     return (rows, K_prec), exponent - 4 * K_prec
 
@@ -271,10 +235,10 @@ def _disc_valuation(mats: list[RMat], d: int, p: int) -> int:
     for X, _ in mats:
         row = []
         for Y, _ in mats:
-            XY = _mmul(d, X, Y)
-            if XY[0][1] + XY[3][1] != 0:
+            trace, pi_part = _mtrace(_mmul(X, Y, 0, -d))
+            if pi_part != 0:
                 raise ValueError("reduced trace not rational: not in F(tau)")
-            row.append(XY[0][0] + XY[3][0])
+            row.append(trace)
         gram.append(row)
     return valuation(_det(gram), p) - 2 * sum(valuation(den, p) for _, den in mats)
 
@@ -292,15 +256,14 @@ def _counts_at_precisions(
         # F(1) is the fixed algebra of X -> T conj(X) T with T = antidiag(1,1);
         # it equals g^-1 M2(Qp) g for g = (1, 1; pi, -pi), so its maximal
         # orders are the g-conjugates of the integral vertex orders.
-        g: Mat = (_ONE, _ONE, _PI, (0, -1))
-        g_inv = _inv(d, g)
+        g: Flat = (1, 0, 1, 0, 0, 1, 0, -1)
+        g_inv = _minv(g, 0, -d)
         conj_in = lambda X: _rmul(d, _rmul(d, g_inv, (X, 1)), (g, 1))
         fmax_mats = [
-            conj_in(tuple(_ONE if j == i else _ZERO for j in range(4)))
-            for i in range(4)
+            conj_in(tuple(int(j == 2 * i) for j in range(8))) for i in range(4)
         ]
-        Pi: RMat = ((_PI, _ZERO, _ZERO, (0, -1)), 1)
-        Om = conj_in((_ZERO, _ONE, (n, 0), _ZERO))
+        Pi: RMat = ((0, 1, 0, 0, 0, 0, 0, -1), 1)
+        Om = conj_in((0, 0, 1, 0, n, 0, 0, 0))
         base = g_inv[0]
         expected_disc = 0
     else:
@@ -308,7 +271,7 @@ def _counts_at_precisions(
         fmax_mats = [(X, 1) for X in _f_basis(tau_star)]
         Pi = fmax_mats[1]
         Om = fmax_mats[2]
-        base = _IDENTITY
+        base = _scalar(1)
         expected_disc = 2
 
     if _disc_valuation(fmax_mats, d, p) != expected_disc:
@@ -316,7 +279,7 @@ def _counts_at_precisions(
 
     fmax = _lattice(fmax_mats, tau_star, p)
     # O + O Pi^r Omega has Z_p-basis {1, Pi, Pi^r Om, Pi^(r+1) Om}
-    pows: list[RMat] = [(_IDENTITY, 1)]
+    pows: list[RMat] = [(_scalar(1), 1)]
     for _ in range(r + 1):
         pows.append(_rmul(d, pows[-1], Pi))
     target = _lattice(
@@ -332,22 +295,22 @@ def _counts_at_precisions(
         raise PrecisionError("target order has the wrong index")
 
     # base^-1 X base, with the base's scalar denominator cancelled
-    base_inv, L = _inv(d, base)
+    base_inv, L = _minv(base, 0, -d)
     for X, den in fmax_mats:
-        Y = _mmul(d, _mmul(d, base_inv, X), base)
+        Y = _mmul(_mmul(base_inv, X, 0, -d), base, 0, -d)
         mod = p ** valuation(L * den, p)
-        if any(co % mod for entry in Y for co in entry):
+        if any(co % mod for co in Y):
             raise PrecisionError("maximal order not inside the base vertex")
 
     # E_i = base^-1 e_i base over L; the vertex transition J conjugates it
-    E = [_mmul(d, _mmul(d, base_inv, X), base) for X in _f_basis(tau_star)]
+    E = [_mmul(_mmul(base_inv, X, 0, -d), base, 0, -d) for X in _f_basis(tau_star)]
     v_L = valuation(L, p)
     target_dual = _dual(target, p)
     counts = [0] * len(precisions)
     for v in enumerate_vertices(k, p, r + 1):
         J = _vertex_matrix(d, v)
-        J_inv, _ = _inv(d, J)  # over d^m, and v_p(d^m) = m as p exactly divides d
-        conj = [_mmul(d, _mmul(d, J_inv, X), J) for X in E]
+        J_inv, _ = _minv(J, 0, -d)  # over d^m, and v_p(d^m) = m as p exactly divides d
+        conj = [_mmul(_mmul(J_inv, X, 0, -d), J, 0, -d) for X in E]
         for i, K_prec in enumerate(precisions):
             lat, lat_volume = _intersection(conj, v_L + v.distance, p, K_prec)
             if lat_volume == volume and _inside(lat, target_dual, p):

@@ -1,7 +1,8 @@
 """Bounded-height search for finite subgroups of SL2(o).
 
 Matrices are kept over the ring of integers o = Z[omega] of Q(i*sqrt(d)),
-each entry an integer pair (x, y) meaning x + y*omega. Finite projective
+each entry an integer pair (x, y) meaning x + y*omega, in the flat layout
+and the arithmetic of ``ring`` with o's constants. Finite projective
 order forces the reduced trace of a non-central element into {0, +1, -1},
 so the search enumerates trace-constrained determinant-1 matrices and then
 pairs them. The pairing conditions collapse to the single scalar equation
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..quadfield import ImagQuadField  # validates d squarefree
 from ..quaternion import SubgroupKind
+from .ring import Flat, Pair, _mdet, _mmul, _mtrace, _ring_constants, _scalar
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,9 +34,6 @@ if TYPE_CHECKING:
 MAX_HEIGHT = 16
 # entries of the largest temporary array in the torsion pass and the pair search
 _CHUNK = 2**18
-
-Pair = tuple[int, int]
-Flat = tuple[int, int, int, int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -68,50 +67,8 @@ class SubgroupWitness:
     generators: tuple[OMatrix, ...]
 
 
-def _ring_constants(d: int) -> tuple[int, int]:
-    """(s, t) with omega^2 = s*omega + t."""
-    if d % 4 == 3:
-        return 1, -(1 + d) // 4
-    return 0, -d
-
-
-def _omul(z1: Pair, z2: Pair, s: int, t: int) -> Pair:
-    x1, y1 = z1
-    x2, y2 = z2
-    yy = y1 * y2
-    return (x1 * x2 + t * yy, x1 * y2 + y1 * x2 + s * yy)
-
-
-def _mmul(A: Flat, B: Flat, s: int, t: int) -> Flat:
-    a0, a1, b0, b1, c0, c1, d0, d1 = A
-    e0, e1, f0, f1, g0, g1, h0, h1 = B
-    # the omega^2 = s*omega + t parts of the four entries
-    ae, af = a1 * e1 + b1 * g1, a1 * f1 + b1 * h1
-    ce, cf = c1 * e1 + d1 * g1, c1 * f1 + d1 * h1
-    return (
-        a0 * e0 + b0 * g0 + t * ae, a0 * e1 + a1 * e0 + b0 * g1 + b1 * g0 + s * ae,
-        a0 * f0 + b0 * h0 + t * af, a0 * f1 + a1 * f0 + b0 * h1 + b1 * h0 + s * af,
-        c0 * e0 + d0 * g0 + t * ce, c0 * e1 + c1 * e0 + d0 * g1 + d1 * g0 + s * ce,
-        c0 * f0 + d0 * h0 + t * cf, c0 * f1 + c1 * f0 + d0 * h1 + d1 * h0 + s * cf,
-    )
-
-
-def _mdet(A: Flat, s: int, t: int) -> Pair:
-    ad = _omul(A[0:2], A[6:8], s, t)
-    bc = _omul(A[2:4], A[4:6], s, t)
-    return (ad[0] - bc[0], ad[1] - bc[1])
-
-
-def _mtrace(A: Flat) -> Pair:
-    return (A[0] + A[6], A[1] + A[7])
-
-
 def _mneg(A: Flat) -> Flat:
     return tuple(-x for x in A)  # type: ignore[return-value]
-
-
-def _scalar(n: int) -> Flat:
-    return (n, 0, 0, 0, 0, 0, n, 0)
 
 
 def _exact_ring(d: int, H: int) -> tuple[int, int]:

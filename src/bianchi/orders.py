@@ -125,13 +125,17 @@ def compatible_order_exists(
     copy of the quadratic ring at all primes dividing lam.
 
     Holds iff lam is coprime to sigma_k(F) and is an ideal norm of k. A
-    caller that holds sk = sigma_k(F, k), or ``splits``, may pass them.
+    caller that holds sk = sigma_k(F, k), or ``splits``, may pass them;
+    ``splits`` must hold every prime of lam and every finite ramified prime
+    of F, or ValueError is raised.
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
+    if splits is not None and any(p not in splits for p in F.finite_ramified):
+        raise ValueError(f"splits misses a ramified prime of {F}")
     if sk is None:
         sk = sigma_k(F, k, splits=splits)
-    return gcd(lam, sk) == 1 and is_ideal_norm(lam, k, splits=splits)
+    return is_ideal_norm(lam, k, splits=splits) and gcd(lam, sk) == 1
 
 
 def maximal_orders_isomorphic(
@@ -271,7 +275,8 @@ def global_embedding_count(
     finite ramified primes of F that are inert in k (which contribute 2
     even at exponent 0); all other primes contribute 1. A caller that holds
     sk = sigma_k(F, k), or the ``splits`` of the primes of lam and F, may
-    pass them; lam is then not factored.
+    pass them; lam is then not factored, and a prime missing from ``splits``
+    raises ValueError.
     """
     ram = F.finite_ramified
     if splits is None:

@@ -88,11 +88,18 @@ def is_ideal_norm(lam: int, k: ImagQuadField, *, splits: Splits | None = None) -
     Split and ramified primes realize every exponent; an inert prime only
     contributes squares, so the condition is that v_p(lam) is even at every
     inert p. A caller that holds the splitting of every prime of lam may
-    pass it as ``splits``, and lam is then not factored.
+    pass it as ``splits``, and lam is then not factored; ValueError if
+    ``splits`` misses a prime of lam.
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
     if splits is None:
         splits = {p: splitting(k, p) for p in factorize(lam).primes()}
-    inert = [p for p, s in splits.items() if s is SplitType.INERT]
-    return not any(valuation(lam, p) % 2 for p in inert)
+    rest, norm = lam, True
+    for p, split in splits.items():
+        e = valuation(rest, p)
+        rest //= p**e
+        norm = norm and not (e % 2 and split is SplitType.INERT)
+    if rest != 1:
+        raise ValueError(f"splits misses a prime of lam={lam}, which leaves {rest}")
+    return norm

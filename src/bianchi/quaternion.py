@@ -30,6 +30,10 @@ class SubgroupKind(enum.Enum):
     D2MAX = "d2"  # maximal-finite 2-dihedral, isomorphic to V4
 
 
+#: the kinds in the order of every report, scan row and listing
+KINDS = tuple(SubgroupKind)
+
+
 @dataclass(frozen=True)
 class QuaternionAlgebraQ:
     """A quaternion algebra over Q, given by its set of ramified places.

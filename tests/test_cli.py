@@ -389,3 +389,23 @@ def test_verify_subgroups_names_the_height_bound(capsys):
     assert err == (
         "FAIL: no witness within height 10 although existence is predicted: t, d=33\n"
     )
+
+
+def test_range_suites_on_a_pool_match_one_worker(capsys, monkeypatch):
+    # from dmax 100 on, every range suite maps its per-field check over a pool
+    runs = []
+    for workers in ("1", "3"):
+        monkeypatch.setenv("BIANCHI_THREADS", workers)
+        for argv in (
+            ("--suite", "subgroups", "--dmax", "130", "--height", "2"),
+            ("--suite", "autindex", "--dmax", "150"),
+            ("--suite", "existence", "--dmax", "150"),
+            ("--suite", "gamma", "--dmax", "150"),
+        ):
+            runs.append(run(capsys, "verify", *argv))
+    assert runs[:4] == runs[4:]
+    code, out, err = runs[0]
+    assert code == 1 and out == "suite subgroups: 69 failure(s)\n"
+    ds = [int(line.rsplit("d=", 1)[1]) for line in err.splitlines()]
+    assert len(ds) == 69 and ds == sorted(ds) and ds[-1] == 130
+    assert all(out.endswith(": pass\n") for _, out, _ in runs[1:4])

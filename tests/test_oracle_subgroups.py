@@ -6,18 +6,14 @@ import pytest
 from bianchi.arith import is_squarefree
 from bianchi.classify import contains_in_psl2o
 from bianchi.cli import main
+from bianchi.oracle.ring import _mdet, _mmul, _mtrace, _omul, _ring_constants
 from bianchi.oracle.subgroups import (
     MAX_HEIGHT,
     OMatrix,
     SubgroupWitness,
     _check_d2_pair,
     _check_d3,
-    _mdet,
-    _mmul,
     _exact_ring,
-    _mtrace,
-    _omul,
-    _ring_constants,
     _torsion_flat,
     enumerate_torsion_elements,
     find_subgroup,

@@ -243,6 +243,27 @@ def test_global_count_rejects_incompatible():
         global_embedding_count(3, MATRIX_ALGEBRA, make_field(1))
 
 
+def test_incomplete_splits_are_rejected():
+    k = make_field(1)
+    two = {2: SplitType.RAMIFIED}
+    # 3 is inert in Q(i): left out of splits, it would count 1 instead of 2
+    assert global_embedding_count(1, FD3, k, sk=1) == 2
+    with pytest.raises(ValueError, match="ramified prime"):
+        global_embedding_count(1, FD3, k, sk=1, splits=two)
+    with pytest.raises(ValueError, match="ramified prime"):
+        compatible_order_exists(1, FD3, k, splits=two)
+    # lam = 3 is no ideal norm of Q(i); left out, 3 would read as not inert
+    with pytest.raises(IncompatibleIndexError):
+        global_embedding_count(3, FT, k)
+    with pytest.raises(ValueError, match="prime of lam"):
+        global_embedding_count(3, FT, k, splits=two)
+    # complete splits give the same answers as none
+    full = {2: SplitType.RAMIFIED, 3: SplitType.INERT}
+    assert global_embedding_count(1, FD3, k, sk=1, splits=full) == 2
+    with pytest.raises(IncompatibleIndexError):
+        global_embedding_count(3, FT, k, splits=full)
+
+
 def test_automorphism_index_examples():
     assert automorphism_index(MATRIX_ALGEBRA, make_field(1)) == 1
     assert automorphism_index(MATRIX_ALGEBRA, make_field(15)) == 2

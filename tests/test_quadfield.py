@@ -91,6 +91,18 @@ def test_is_ideal_norm_examples():
     assert is_ideal_norm(5, k1)
 
 
+def test_is_ideal_norm_rejects_splits_that_miss_a_prime():
+    k1 = make_field(1)
+    with pytest.raises(ValueError, match="prime of lam"):
+        is_ideal_norm(3, k1, splits={})
+    with pytest.raises(ValueError, match="prime of lam"):
+        is_ideal_norm(45, k1, splits={3: SplitType.INERT})
+    # primes beyond those of lam may be given; each prime of lam must be
+    assert not is_ideal_norm(3, k1, splits={2: SplitType.RAMIFIED, 3: SplitType.INERT})
+    assert is_ideal_norm(45, k1, splits={3: SplitType.INERT, 5: SplitType.SPLIT})
+    assert is_ideal_norm(1, k1, splits={})
+
+
 @given(
     st.sampled_from(SQUAREFREE),
     st.integers(min_value=1, max_value=500),
