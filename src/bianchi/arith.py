@@ -196,9 +196,11 @@ def factorize(n: int) -> Factorization:
 
 
 def valuation(n: int, p: int) -> int:
-    """v_p(n) for nonzero n."""
+    """v_p(n) for nonzero n and |p| >= 2."""
     if n == 0:
         raise ValueError("v_p(0) is undefined here")
+    if p in (-1, 0, 1):
+        raise ValueError(f"v_p needs |p| >= 2, got p={p}")
     v = 0
     while n % p == 0:
         n //= p

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache, partial
 from math import isqrt
@@ -50,9 +49,6 @@ _PROVENANCE = [
     "conjugacy-class-count-formulas",
 ]
 
-#: Below this dmax a process pool costs more to start than it saves.
-_POOL_MIN_DMAX = 100
-
 #: d per segment of the squarefree sieve, which bounds its memory at any dmax
 _SIEVE_SPAN = 1 << 12
 
@@ -62,19 +58,6 @@ _DEFAULT_HEIGHT = 10
 
 class UsageError(Exception):
     pass
-
-
-def _workers() -> int:
-    env = os.environ.get("BIANCHI_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise UsageError(f"BIANCHI_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise UsageError("BIANCHI_THREADS must be >= 1")
-        return n
-    return min(os.cpu_count() or 1, 8)
 
 
 def _check_dmax(dmax: Optional[int]) -> None:
@@ -166,32 +149,6 @@ def _render_report_table(report: ClassificationReport) -> str:
     return "\n".join(lines)
 
 
-def _scan_row(k: ImagQuadField) -> dict:
-    return _report_payload(classify_report(k))
-
-
-def _map_block(fn, lo: int, hi: int) -> list:
-    return [fn(k) for k in _squarefree_range(lo, hi)]
-
-
-def _pool_map(fn, dmax: int, workers: int) -> Iterator:
-    """fn of the field of each squarefree d in 1..dmax, in order of d. Pool
-    workers build the fields of their own blocks of d, so no process holds
-    the fields of the whole range. A block is at most one sieve segment, so
-    the results that wait to be consumed stay bounded at any dmax."""
-    if workers <= 1 or dmax < _POOL_MIN_DMAX:
-        yield from map(fn, _squarefree_range(1, dmax))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = max(1, min(dmax // (workers * 8), _SIEVE_SPAN))
-    starts = range(1, dmax + 1, step)
-    ends = [min(lo + step - 1, dmax) for lo in starts]
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        for rows in executor.map(partial(_map_block, fn), starts, ends):
-            yield from rows
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     report = classify_report(args.d)
     if args.format == "json":
@@ -203,18 +160,20 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     _check_dmax(args.dmax)
-    kinds = KINDS
+    # the positions in KINDS, and so in each report's kinds, of the kinds shown
+    chosen = range(len(KINDS))
     if args.kinds is not None:  # left out, it means every kind
         names = [s.strip() for s in args.kinds.split(",") if s.strip()]
         try:
-            chosen = set(map(SubgroupKind, names))
+            named = set(map(SubgroupKind, names))
         except ValueError:
-            chosen = set()
-        if not chosen:
+            named = set()
+        if not named:
             listed = ",".join(k.value for k in KINDS)
             raise UsageError(f"--kinds must name some of {listed}, got {args.kinds!r}")
-        kinds = tuple(k for k in KINDS if k in chosen)
-    totals = {k.value: 0 for k in kinds}
+        chosen = [i for i, k in enumerate(KINDS) if k in named]
+    kinds = [KINDS[i] for i in chosen]
+    totals = [0] * len(chosen)
     n_rows = 0
     json_mode = args.format == "json"
     write = sys.stdout.write
@@ -225,29 +184,24 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         header = "d      " + "".join(f"{k.value:<5}" for k in kinds) + "gamma"
         print(header)
-    for payload in _pool_map(_scan_row, args.dmax, _workers()):
-        by_kind = {e["kind"]: e for e in payload["kinds"]}
-        for k in kinds:
-            if by_kind[k.value]["exists"]:
-                totals[k.value] += 1
+    for k in _squarefree_range(1, args.dmax):
+        report = classify_report(k)
+        for j, i in enumerate(chosen):
+            totals[j] += report.kinds[i].exists_in_psl2o
         if json_mode:
-            write(f",{_dump(payload)}" if n_rows else _dump(payload))
+            row = _dump(_report_payload(report))
+            write(f",{row}" if n_rows else row)
         else:
-            marks = "".join(
-                f"{'x' if by_kind[k.value]['exists'] else '.':<5}" for k in kinds
-            )
-            gammas = ",".join(
-                str(by_kind[k.value]["gamma"])
-                if by_kind[k.value]["gamma"] is not None
-                else "-"
-                for k in kinds
-            )
-            print(f"{payload['d']:<7}{marks}{gammas}")
+            entries = [report.kinds[i] for i in chosen]
+            marks = "".join(f"{'x' if e.exists_in_psl2o else '.':<5}" for e in entries)
+            gammas = ",".join("-" if e.gamma is None else str(e.gamma) for e in entries)
+            print(f"{report.d:<7}{marks}{gammas}")
         n_rows += 1
     if json_mode:
-        print(f'],"schema_version":{_dump(SCHEMA_VERSION)},"totals":{_dump(totals)}}}')
+        by_name = {k.value: n for k, n in zip(kinds, totals)}
+        print(f'],"schema_version":{_dump(SCHEMA_VERSION)},"totals":{_dump(by_name)}}}')
     else:
-        summary = ", ".join(f"{k.value}: {totals[k.value]}" for k in kinds)
+        summary = ", ".join(f"{k.value}: {n}" for k, n in zip(kinds, totals))
         print(f"-- {n_rows} squarefree d <= {args.dmax}; present for {summary}")
     return 0
 
@@ -298,8 +252,7 @@ def _suite_reciprocity() -> list[str]:
 def _range_failures(check: Callable[..., list[str]], dmax: int, **options) -> list[str]:
     """The failures of a per-field check, given the suite's other options,
     over the field of every squarefree d <= dmax, in order of d."""
-    fn = partial(check, **options)
-    return [f for rows in _pool_map(fn, dmax, _workers()) for f in rows]
+    return [f for k in _squarefree_range(1, dmax) for f in check(k, **options)]
 
 
 def _existence_failures_at(k: ImagQuadField) -> list[str]:

@@ -359,7 +359,8 @@ def automorphism_index(
     r = len(_sigma_k_primes(F, sk))
     n_trivial = len(unit_character_divisors(F, k, sk=sk))
     s = n_trivial.bit_length() - 1
-    assert 1 << s == n_trivial, "trivial-character divisors must number a power of 2"
+    if 1 << s != n_trivial:
+        raise AssertionError("trivial-character divisors must number a power of 2")
     return 1 << (t + r + s - 1)
 
 

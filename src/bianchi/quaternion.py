@@ -123,7 +123,8 @@ def normalize_tau(tau: int, k: ImagQuadField) -> int:
             break
         tau_low, d_low = tau // g, d // g
         tau = squarefree_part(tau_low * (d_low + g))
-        assert gcd(abs(tau), d) < g, "gcd clearing must strictly decrease"
+        if gcd(abs(tau), d) >= g:
+            raise AssertionError("gcd clearing must strictly decrease")
     else:
         raise AssertionError("gcd clearing failed to terminate")
     # a leftover factor 2 of D is possible only for odd d = 1 mod 4

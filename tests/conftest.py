@@ -1,6 +1,11 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import bianchi
 
 
 @pytest.fixture
@@ -22,3 +27,20 @@ def record_calls(monkeypatch):
         return seen
 
     return patch
+
+
+@pytest.fixture
+def run_python():
+    """Run a snippet in a fresh interpreter that imports ``bianchi`` from this
+    checkout, with any interpreter flags (such as -O) before -c; the result
+    of ``subprocess.run``, which raises TimeoutExpired once ``timeout`` runs out."""
+    src = str(Path(bianchi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(code, *flags, timeout=60):
+        return subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            env=env, capture_output=True, text=True, timeout=timeout,
+        )
+
+    return run

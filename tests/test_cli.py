@@ -1,10 +1,6 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -95,9 +91,8 @@ def test_main_reuses_one_parser(capsys):
         ),
     ],
 )
-def test_scan_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+def test_scan_json_bytes_are_pinned(capsys, argv, digest):
     # the streamed rows keep the bytes of one key-sorted dump of the document
-    monkeypatch.setenv("BIANCHI_THREADS", "1")
     code, out, _ = run(capsys, "scan", *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -105,18 +100,16 @@ def test_scan_json_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_scan_json_on_two_workers_matches_one(capsys, monkeypatch):
-    # a span of 64 d cuts the sieve into many segments and caps the pool's
-    # blocks (2000 // 16 = 125 d otherwise) at one segment
+def test_scan_json_is_the_same_across_sieve_segments(capsys, monkeypatch):
+    # a span of 64 d cuts the range into 32 sieve segments, one span of 4096
+    # holds it whole
     outputs = []
     for span in (4096, 64):
         monkeypatch.setattr("bianchi.cli._SIEVE_SPAN", span)
-        for workers in ("1", "2"):
-            monkeypatch.setenv("BIANCHI_THREADS", workers)
-            code, out, _ = run(capsys, "scan", "--dmax", "2000", "--format", "json")
-            assert code == 0
-            outputs.append(out)
-    assert all(out == outputs[0] for out in outputs)
+        code, out, _ = run(capsys, "scan", "--dmax", "2000", "--format", "json")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("lo, hi", [(1, 5000), (10**6 - 2000, 10**6)])
@@ -155,19 +148,16 @@ def test_scan_row_count(capsys):
     assert len(rows) == 7  # d in {1,2,3,5,6,7,10}
 
 
-def test_scan_on_a_pool_matches_one_worker(capsys, monkeypatch):
-    # 257 d over 3 workers: blocks of 10 d, the last one short
-    outputs = []
-    for workers in ("1", "3"):
-        monkeypatch.setenv("BIANCHI_THREADS", workers)
-        for fmt in ("json", "table"):
-            code, out, _ = run(capsys, "scan", "--dmax", "257", "--format", fmt)
-            assert code == 0
-            outputs.append(out)
-    assert outputs[:2] == outputs[2:]
-    assert [row["d"] for row in json.loads(outputs[0])["rows"]] == [
-        d for d in range(1, 258) if all(d % (p * p) for p in range(2, 17))
-    ]
+def test_scan_rows_are_the_squarefree_d(capsys):
+    expected = [d for d in range(1, 258) if all(d % (p * p) for p in range(2, 17))]
+    code, out, _ = run(capsys, "scan", "--dmax", "257", "--format", "json")
+    assert code == 0
+    assert [row["d"] for row in json.loads(out)["rows"]] == expected
+    code, out, _ = run(capsys, "scan", "--dmax", "257")
+    assert code == 0
+    lines = out.splitlines()
+    assert [int(line.split()[0]) for line in lines[1:-1]] == expected
+    assert lines[-1].startswith(f"-- {len(expected)} squarefree d <= 257;")
 
 
 def test_scan_kinds_filter(capsys):
@@ -250,13 +240,6 @@ def test_oracle_subgroups(capsys):
     assert payload["witnesses"]["t"] is not None
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("BIANCHI_THREADS", "zero")
-    code, _, err = run(capsys, "scan", "--dmax", "5")
-    assert code == 2
-    assert "BIANCHI_THREADS" in err
-
-
 @pytest.fixture
 def wrong_composed_count(monkeypatch):
     monkeypatch.setattr(
@@ -330,10 +313,9 @@ def test_height_outside_search_range_is_a_usage_error(capsys):
         assert "--height" in err and out == "", argv
 
 
-def test_scan_factors_no_d(capsys, monkeypatch, record_calls):
+def test_scan_factors_no_d(capsys, record_calls):
     # nor anything else: the primes of each d come from the sieve, and those
     # of the group indices and of sigma_k from the field pass of each report
-    monkeypatch.setenv("BIANCHI_THREADS", "1")
     factored = record_calls(factorize)
     sigma_ks = record_calls(sigma_k)
     code, out, _ = run(capsys, "scan", "--dmax", "1000", "--format", "json")
@@ -351,23 +333,14 @@ def test_oracle_subgroups_rejects_d_beyond_exact_range(capsys):
     assert "exact range" in err
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    import bianchi
-
-    src = str(Path(bianchi.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, bianchi.cli; print('numpy' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "False"
+def test_importing_the_cli_does_not_load_numpy(run_python):
+    done = run_python("import sys, bianchi.cli; print('numpy' in sys.modules)")
+    assert done.stdout.strip() == "False", done.stderr
 
 
-def test_importing_the_cli_defers_the_pool_and_fractions():
-    import bianchi
-
-    src = str(Path(bianchi.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+def test_importing_the_cli_defers_the_pool_and_fractions(run_python):
+    # a range command runs in the calling process: after a scan and a range
+    # suite, no process pool has been imported
     names = (
         "concurrent.futures",
         "multiprocessing",
@@ -375,11 +348,23 @@ def test_importing_the_cli_defers_the_pool_and_fractions():
         "bianchi.oracle.localtree",
         "bianchi.oracle.subgroups",
     )
-    code = f"import sys, bianchi.cli; print([n in sys.modules for n in {names!r}])"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[False, False, False, True, True]"
+    code = f"""
+import contextlib, io, sys
+import bianchi.cli as cli
+
+print([n in sys.modules for n in {names!r}])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        cli.main(["scan", "--dmax", "200"]),
+        cli.main(["verify", "--suite", "existence"]),
+    ]
+print(codes, [n in sys.modules for n in {names[:2]!r}])
+"""
+    done = run_python(code)
+    assert done.stdout.splitlines() == [
+        "[False, False, False, True, True]",
+        "[0, 0] [False, False]",
+    ], done.stderr
 
 
 def test_verify_subgroups_names_the_height_bound(capsys):
@@ -391,19 +376,16 @@ def test_verify_subgroups_names_the_height_bound(capsys):
     )
 
 
-def test_range_suites_on_a_pool_match_one_worker(capsys, monkeypatch):
-    # from dmax 100 on, every range suite maps its per-field check over a pool
-    runs = []
-    for workers in ("1", "3"):
-        monkeypatch.setenv("BIANCHI_THREADS", workers)
+def test_range_suites_report_failures_in_order_of_d(capsys):
+    runs = [
+        run(capsys, "verify", *argv)
         for argv in (
             ("--suite", "subgroups", "--dmax", "130", "--height", "2"),
             ("--suite", "autindex", "--dmax", "150"),
             ("--suite", "existence", "--dmax", "150"),
             ("--suite", "gamma", "--dmax", "150"),
-        ):
-            runs.append(run(capsys, "verify", *argv))
-    assert runs[:4] == runs[4:]
+        )
+    ]
     code, out, err = runs[0]
     assert code == 1 and out == "suite subgroups: 69 failure(s)\n"
     ds = [int(line.rsplit("d=", 1)[1]) for line in err.splitlines()]

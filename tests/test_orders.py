@@ -270,6 +270,28 @@ def test_automorphism_index_examples():
     assert automorphism_index(FD3, make_field(5)) == 4
 
 
+def test_automorphism_index_checks_the_divisor_count_under_optimize(run_python):
+    # three trivial-character divisors are no power of 2; the check must hold
+    # under python -O as well, where an assert would be stripped
+    code = """
+from bianchi import orders
+from bianchi.quadfield import make_field
+from bianchi.quaternion import SubgroupKind, group_algebra
+
+orders.unit_character_divisors = lambda F, k, sk=None: [1, 2, 3]
+for d in (11, 2):
+    try:
+        orders.automorphism_index(group_algebra(SubgroupKind.D3).algebra, make_field(d))
+    except AssertionError as exc:
+        print(exc)
+"""
+    done = run_python(code, "-O")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "trivial-character divisors must number a power of 2"
+    ] * 2
+
+
 def test_unit_conjugacy_class_count_examples():
     # B = C(lam) * [Aut : Inn], the unit-conjugacy classes of optimal embeddings
     for lam, F, d, B in ((1, MATRIX_ALGEBRA, 1, 1), (2, FT, 1, 3), (1, FD3, 3, 1)):

@@ -113,6 +113,24 @@ def test_normalize_tau_rejects_zero():
         normalize_tau(0, make_field(1))
 
 
+def test_normalize_tau_checks_each_step_under_optimize(run_python):
+    # a squarefree part that never clears the gcd must fail at the first
+    # step, also under python -O, where an assert would be stripped
+    code = """
+from bianchi import quaternion
+from bianchi.quadfield import make_field
+
+quaternion.squarefree_part = lambda n: 3
+try:
+    quaternion.normalize_tau(3, make_field(3))
+except AssertionError as exc:
+    print(exc)
+"""
+    done = run_python(code, "-O")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "gcd clearing must strictly decrease\n"
+
+
 def test_group_algebra_table():
     d3 = group_algebra(SubgroupKind.D3)
     t = group_algebra(SubgroupKind.T)
