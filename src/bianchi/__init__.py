@@ -33,7 +33,6 @@ from .classify import (
 from .orders import (
     HilbertCharacter,
     IncompatibleIndexError,
-    LambdaClass,
     LocalCountQuery,
     automorphism_index,
     compatible_order_exists,
@@ -87,7 +86,6 @@ __all__ = [
     "host_algebra_split",
     "HilbertCharacter",
     "IncompatibleIndexError",
-    "LambdaClass",
     "LocalCountQuery",
     "automorphism_index",
     "compatible_order_exists",

@@ -1,7 +1,8 @@
 """Exact integer arithmetic: factorization, square classes, Hilbert symbols.
 
-Everything here is pure and exact. Inputs are ordinary Python integers (or
-Fractions where a rational makes sense).
+Everything here is pure and exact. Inputs are ordinary Python integers; a
+Hilbert symbol takes two nonzero integers, which stand for their square
+classes.
 
 ``is_prime`` is the Miller-Rabin test with the first twelve primes as
 witnesses, which is deterministic for every n < 3.18e23 and so for all of
@@ -18,10 +19,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import count
 from math import gcd
-from typing import TYPE_CHECKING, Union
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 #: Largest |n| that ``factorize`` and ``is_prime`` accept: the 64-bit signed
 #: range of the CLI's ``d``. Rho factors any such n in well under a second.
@@ -37,8 +34,6 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 #: Rho steps whose differences share one gcd.
 _RHO_BATCH = 128
-
-Rational = Union[int, "Fraction"]
 
 
 @dataclass(frozen=True)
@@ -261,15 +256,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _square_class_int(x: Rational) -> int:
-    """An integer in the same rational square class as x: n/m has n*m."""
-    if type(x) is int and x:
-        return x  # the common case
-    if x == 0:
-        raise ValueError("nonzero rational required")
-    return x.numerator * x.denominator
-
-
 def _epsilon(u: int) -> int:
     """(u-1)/2 mod 2 for odd u."""
     return (u - 1) // 2 % 2
@@ -280,13 +266,14 @@ def _omega2(u: int) -> int:
     return (u * u - 1) // 8 % 2
 
 
-def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
-    """Hilbert symbol (a, b)_v over Q_v, computed by the tame/dyadic formulas.
+def hilbert_symbol(a: int, b: int, v: Place) -> int:
+    """Hilbert symbol (a, b)_v over Q_v of nonzero integers a, b, computed by
+    the tame/dyadic formulas.
 
     Bimultiplicative, symmetric, depends only on the square classes of a, b.
     """
-    a = _square_class_int(a)
-    b = _square_class_int(b)
+    if not a or not b:
+        raise ValueError("the Hilbert symbol needs nonzero arguments")
     if v.is_infinite:
         return -1 if (a < 0 and b < 0) else 1
     p = v.p
@@ -308,16 +295,15 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     return sign
 
 
-def relevant_places(*values: Rational) -> list[Place]:
+def relevant_places(*values: int) -> list[Place]:
     """Places where a Hilbert symbol built from the given values can be -1.
 
     Returns {oo, 2} plus the odd primes dividing any value; at every other
     place both arguments are units and the symbol is +1.
     """
     primes: set[int] = {2}
-    for x in values:
-        n = _square_class_int(x)
-        primes.update(p for p in factorize(n).primes())
+    for n in values:
+        primes.update(factorize(n).primes())
     places = [_proven_place(p) for p in sorted(primes)]
     places.append(INFINITY)
     return places

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .orders import FieldPass, HilbertCharacter, IncompatibleIndexError, LambdaLike
-from .orders import _lam, global_embedding_count
+from .orders import FieldPass, HilbertCharacter, IncompatibleIndexError
+from .orders import _index_class, global_embedding_count
 from .quadfield import ImagQuadField, is_ideal_norm
 from .quaternion import KINDS, SubgroupKind, group_algebra, sigma
 
@@ -55,20 +55,20 @@ def contains_in_psl2o(kind: SubgroupKind, d: FieldLike) -> bool:
     return not failing_primes(kind, d)
 
 
-def contains_in_order(kind: SubgroupKind, lam_M: LambdaLike, d: FieldLike) -> bool:
+def contains_in_order(kind: SubgroupKind, lam_M: int, d: FieldLike) -> bool:
     """Existence of the group type in the unit group of an M2(k)-maximal
     order of type lam_M: with F the group's rational algebra and lam its
     index, the symbol (sigma(F) * lam * lam_M, -d)_v must be +1 at every
     place v where F is unramified, i.e. outside {3, oo} resp. {2, oo}.
     """
     k = _field(d)
-    lam_M = _lam(lam_M)
-    if not is_ideal_norm(lam_M.value, k):
+    lam_M = _index_class(lam_M)
+    if not is_ideal_norm(lam_M, k):
         raise ValueError(
-            f"lam={lam_M.value} is not an admissible M2(k)-order type for d={k.d}"
+            f"lam={lam_M} is not an admissible M2(k)-order type for d={k.d}"
         )
     data = group_algebra(kind)
-    a = sigma(data.algebra) * data.lambda_of_group_order * lam_M.value
+    a = sigma(data.algebra) * data.lambda_of_group_order * lam_M
     return HilbertCharacter.of_square_class(a, k).minus_places <= data.algebra.ramified
 
 

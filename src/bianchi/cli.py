@@ -398,7 +398,7 @@ def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
             results[kind.value] = None
         else:
             results[kind.value] = [
-                {"a": list(m.a), "b": list(m.b), "c": list(m.c), "d": list(m.d)}
+                {e: list(m[2 * i : 2 * i + 2]) for i, e in enumerate("abcd")}
                 for m in witness.generators
             ]
     print(

@@ -9,7 +9,6 @@ ring.
 """
 
 from .subgroups import (
-    OMatrix,
     SubgroupWitness,
     enumerate_torsion_elements,
     find_subgroup,
@@ -18,7 +17,6 @@ from .subgroups import (
 from .localtree import PrecisionError, count_maximal_orders_local
 
 __all__ = [
-    "OMatrix",
     "SubgroupWitness",
     "enumerate_torsion_elements",
     "find_subgroup",

@@ -36,6 +36,13 @@ class PrecisionError(RuntimeError):
     """The vertex count changed when the working precision was raised."""
 
 
+#: The most tree vertices one count may visit. A count at index p^r visits
+#: the 1 + (p + 1)(p^(r+1) - 1)/(p - 1) vertices within distance r + 1, at
+#: about 0.15 ms each, so this keeps a count to a few seconds; it admits
+#: every r in 0..3 for p <= 11.
+MAX_VERTICES = 2 * 10**4
+
+
 # a rational matrix: integer numerator, positive integer denominator
 RMat = tuple[Flat, int]
 # the Z_p-lattice p^-e * span(rows), rows in coordinates of the F(tau) basis
@@ -330,11 +337,18 @@ def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> in
     against -d decides whether F(tau) splits); internally a unit
     representative of that class is used. The count is computed at working
     precision K = r + 3 and re-checked at K + 1; disagreement raises
-    PrecisionError.
+    PrecisionError. ValueError before any vertex is visited if there are
+    more than MAX_VERTICES of them.
     """
     _validate_ramified(k, p)
     if not 0 <= r <= 3:
         raise ValueError(f"r must lie in 0..3, got {r}")
+    n_vertices = 1 + (p + 1) * (p ** (r + 1) - 1) // (p - 1)
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(
+            f"p={p}, r={r} needs {n_vertices} tree vertices, "
+            f"more than {MAX_VERTICES}"
+        )
     if tau == 0 or valuation(tau, p) > 1:
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
     eps = hilbert_symbol(tau, -k.d, Place(p))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..quadfield import ImagQuadField  # validates d squarefree
 from ..quaternion import SubgroupKind
-from .ring import Flat, Pair, _mdet, _mmul, _mtrace, _ring_constants, _scalar
+from .ring import Flat, _mdet, _mmul, _mtrace, _ring_constants, _scalar
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,23 +37,6 @@ _CHUNK = 2**18
 
 
 @dataclass(frozen=True)
-class OMatrix:
-    """A 2x2 matrix over o, entries (x, y) = x + y*omega."""
-
-    a: Pair
-    b: Pair
-    c: Pair
-    d: Pair
-
-    def flat(self) -> Flat:
-        return (*self.a, *self.b, *self.c, *self.d)
-
-    @classmethod
-    def from_flat(cls, m: Flat) -> "OMatrix":
-        return cls(m[0:2], m[2:4], m[4:6], m[6:8])
-
-
-@dataclass(frozen=True)
 class SubgroupWitness:
     """Generators in SL2(o) realizing the requested group type.
 
@@ -61,10 +44,11 @@ class SubgroupWitness:
     For T: [U, V, W] with U^2 = V^2 = -I anticommuting and integral
     W = (1 - U - V - UV)/2 of order 6.
     For D2MAX: [U, V] as for T but with the extension W non-integral.
+    Each generator is a flat 8-tuple of ``ring``.
     """
 
     kind: SubgroupKind
-    generators: tuple[OMatrix, ...]
+    generators: tuple[Flat, ...]
 
 
 def _mneg(A: Flat) -> Flat:
@@ -100,7 +84,9 @@ def _exact_ring(d: int, H: int) -> tuple[int, int]:
     return s, t
 
 
-@lru_cache(maxsize=None)
+# one entry: every caller asks for one (d, H) several times in a row, the
+# three kinds of one d, and a range of d never comes back to an earlier one
+@lru_cache(maxsize=1)
 def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
     """Trace-0 and trace-1 determinant-1 matrices within the box, each an
     int64 array of shape (n, 8) whose rows are in lexicographic order.
@@ -173,7 +159,7 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def enumerate_torsion_elements(d: int, H: int) -> list[OMatrix]:
+def enumerate_torsion_elements(d: int, H: int) -> list[Flat]:
     """All A in SL2(o) with |x|, |y| <= H in every entry and trace in
     {0, +1, -1}, without duplicates, in lexicographic order."""
     _exact_ring(d, H)
@@ -181,8 +167,7 @@ def enumerate_torsion_elements(d: int, H: int) -> list[OMatrix]:
 
     t0, t1 = _torsion_flat(d, H)
     rows = np.concatenate((t0, t1, -t1))  # traces 0, 1, -1: disjoint
-    rows = rows[np.lexsort(rows.T[::-1])].tolist()
-    return [OMatrix.from_flat(tuple(m)) for m in rows]
+    return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
 def _candidate_pairs(
@@ -277,19 +262,19 @@ def _witness(
     """The witness of the group type that U and V generate, or None when
     they fail its defining relations. For T the third generator is the
     integral W = (1 - U - V - UV)/2, which must have W^3 = -I."""
-    gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
     if kind is SubgroupKind.D3:
-        return SubgroupWitness(kind, gens) if _check_d3(U, V, s, t) else None
+        return SubgroupWitness(kind, (U, V)) if _check_d3(U, V, s, t) else None
     if not _check_d2_pair(U, V, s, t):
         return None
     w2, integral = _half_extension(U, V, s, t)
     if integral != (kind is SubgroupKind.T):
         return None
-    if integral:
-        if _mmul(_mmul(w2, w2, s, t), w2, s, t) != _scalar(-8):
-            return None
-        gens += (OMatrix.from_flat(tuple(x // 2 for x in w2)),)  # type: ignore[arg-type]
-    return SubgroupWitness(kind, gens)
+    if not integral:
+        return SubgroupWitness(kind, (U, V))
+    if _mmul(_mmul(w2, w2, s, t), w2, s, t) != _scalar(-8):
+        return None
+    W = tuple(x // 2 for x in w2)
+    return SubgroupWitness(kind, (U, V, W))  # type: ignore[arg-type]
 
 
 def find_subgroup(
@@ -315,5 +300,5 @@ def verify_witness(witness: SubgroupWitness, d: int) -> bool:
     defining relations of its kind and rebuild it generator for generator."""
     if len(witness.generators) < 2:
         return False
-    U, V = (m.flat() for m in witness.generators[:2])
+    U, V = witness.generators[:2]
     return _witness(witness.kind, U, V, *_ring_constants(d)) == witness

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Optional
 
 from .arith import (
     INFINITY,
@@ -30,31 +30,11 @@ class IncompatibleIndexError(ValueError):
     """The requested index cannot be realized by a compatible order."""
 
 
-@dataclass(frozen=True)
-class LambdaClass:
-    """An order index modulo rational squares: a squarefree positive integer."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"index class must be positive, got {self.value}")
-        if squarefree_part(self.value) != self.value:
-            raise ValueError(f"index class must be squarefree, got {self.value}")
-
-    @classmethod
-    def from_index(cls, n: int) -> "LambdaClass":
-        """Reduce a full integer index to its square class."""
-        if n < 1:
-            raise ValueError(f"index must be positive, got {n}")
-        return cls(squarefree_part(n))
-
-
-LambdaLike = Union[int, LambdaClass]
-
-
-def _lam(x: LambdaLike) -> LambdaClass:
-    return x if isinstance(x, LambdaClass) else LambdaClass.from_index(x)
+def _index_class(n: int) -> int:
+    """An order index n >= 1 modulo rational squares: its squarefree part."""
+    if n < 1:
+        raise ValueError(f"index must be positive, got {n}")
+    return squarefree_part(n)
 
 
 @dataclass(frozen=True)
@@ -82,14 +62,14 @@ class HilbertCharacter:
 
         A positive square m gives the trivial character, with no symbol
         evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
-        primes of m and d, so only those places are evaluated; d's places
+        primes of m and d, so only those places are evaluated; d's primes
         are read from the field, and m's from ``primes`` if given.
         """
         if m > 0 and isqrt(m) ** 2 == m:
             return cls(frozenset())
         if primes is None:
             primes = factorize(m).primes()
-        places = {INFINITY, *map(_proven_place, {2, *primes}), *k.places}
+        places = {INFINITY, *map(_proven_place, {2, *primes, *k.primes})}
         return cls(frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1))
 
 
@@ -139,8 +119,8 @@ def compatible_order_exists(
 
 
 def maximal_orders_isomorphic(
-    lam1: LambdaLike,
-    lam2: LambdaLike,
+    lam1: int,
+    lam2: int,
     F: QuaternionAlgebraQ,
     k: ImagQuadField,
 ) -> bool:
@@ -151,7 +131,7 @@ def maximal_orders_isomorphic(
     orders are isomorphic iff some squarefree f | sigma_k(F) makes
     (f * lam1 * lam2, -d)_v = +1 at every place.
     """
-    m = squarefree_part(_lam(lam1).value * _lam(lam2).value)
+    m = squarefree_part(_index_class(lam1) * _index_class(lam2))
     return any(
         HilbertCharacter.of_square_class(f * m, k).is_trivial
         for f in squarefree_divisors(sigma_k(F, k))
@@ -159,7 +139,7 @@ def maximal_orders_isomorphic(
 
 
 def intersection_character(
-    F: QuaternionAlgebraQ, lam_M: LambdaLike, k: ImagQuadField
+    F: QuaternionAlgebraQ, lam_M: int, k: ImagQuadField
 ) -> HilbertCharacter:
     """The Hilbert character forced on the index of F meet M, for M a maximal
     order of M2(k) of type lam_M (measured against M2(o)).
@@ -169,16 +149,16 @@ def intersection_character(
     """
     if sigma_k(F, k) != 1:
         raise ValueError("F does not embed in M2(k): sigma_k(F) != 1")
-    m = sigma(F) * _lam(lam_M).value
+    m = sigma(F) * _index_class(lam_M)
     return HilbertCharacter(F.ramified) * HilbertCharacter.of_square_class(m, k)
 
 
 def joint_intersection_factor(
     F: QuaternionAlgebraQ,
-    lam_F: LambdaLike,
+    lam_F: int,
     F2: QuaternionAlgebraQ,
-    lam_F2: LambdaLike,
-    lam_MM2: LambdaLike,
+    lam_F2: int,
+    lam_MM2: int,
     k: ImagQuadField,
 ) -> Optional[int]:
     """The squarefree f | sigma_k(F) linking the intersection data of two
@@ -191,13 +171,9 @@ def joint_intersection_factor(
     """
     if not embeds_in_common_extension(F, F2, k):
         raise ValueError("no common extension: sigma_k values differ")
-    base = (
-        sigma(F)
-        * _lam(lam_F).value
-        * _lam(lam_MM2).value
-        * sigma(F2)
-        * _lam(lam_F2).value
-    )
+    base = sigma(F) * sigma(F2)
+    for lam in (lam_F, lam_MM2, lam_F2):
+        base *= _index_class(lam)
     target = HilbertCharacter(F.ramified ^ F2.ramified)
     for f in squarefree_divisors(sigma_k(F, k)):
         if HilbertCharacter.of_square_class(base * f, k) == target:
@@ -324,10 +300,8 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     if sk == 1:
         return 0  # no primes q, so the pairing matrix has no columns
     qs = _sigma_k_primes(F, sk)
-    # the field holds the places of d; only 2 may need building
-    own = dict(zip(k.primes, k.places))
     rows = []
-    for v in (own.get(p) or Place(p) for p in k.discriminant_primes()):
+    for v in map(_proven_place, k.discriminant_primes()):
         mask = 0
         for j, q in enumerate(qs):
             if hilbert_symbol(q, -k.d, v) == -1:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .arith import Place, _proven_place, factorize, kronecker, valuation
+from .arith import factorize, kronecker, valuation
 
 
 class NonSquarefreeError(ValueError):
@@ -30,31 +30,30 @@ class ImagQuadField:
     d = 3 mod 4 and omega = i*sqrt(d) otherwise; the discriminant is D = -d
     in the first case and D = -4d in the second.
 
-    The field carries the primes of d, ascending, in ``primes`` and their
-    places in ``places``: d is factored once, when the field is built, or
-    its primes come from a sieve (``_from_primes``). Equality and hash are
-    by d.
+    The field carries the primes of d, ascending, in ``primes``: d is
+    factored once, when the field is built, or its primes come from a sieve
+    (``_from_primes``). Equality and hash are by d.
     """
 
     d: int
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    places: tuple[Place, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if "primes" not in vars(self):  # set already by _from_primes
-            if self.d < 1:
-                raise ValueError(f"d must be positive, got {self.d}")
-            fac = factorize(self.d)
-            if any(e > 1 for _, e in fac.factors):
-                raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
-            object.__setattr__(self, "primes", fac.primes())
-        object.__setattr__(self, "places", tuple(map(_proven_place, self.primes)))
+        if "primes" in vars(self):  # set already by _from_primes
+            return
+        if self.d < 1:
+            raise ValueError(f"d must be positive, got {self.d}")
+        fac = factorize(self.d)
+        if any(e > 1 for _, e in fac.factors):
+            raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
+        object.__setattr__(self, "primes", fac.primes())
 
     @classmethod
     def _from_primes(cls, d: int, primes: tuple[int, ...]) -> "ImagQuadField":
         """The field of a squarefree d >= 1 whose primes, ascending, a sieve
         has found: d is neither factored nor validated again. The build
-        still goes through ``__post_init__``, like any other."""
+        still goes through ``__post_init__``, like any other, so that a
+        wrapper of it (such as a tracer's) sees every build."""
         k = object.__new__(cls)
         object.__setattr__(k, "d", d)
         object.__setattr__(k, "primes", primes)

@@ -1,4 +1,4 @@
-"""Rational quaternion algebras as ramification data.
+"""Quaternion algebras over Q as ramification data.
 
 An algebra is identified with its (even-cardinality) set of ramified places;
 that identification is faithful up to isomorphism, and every operation in

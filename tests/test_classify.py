@@ -92,7 +92,6 @@ def test_gamma_division_host_doubling():
 
 
 def test_maximal_d2_absent_for_every_order_type_when_d_is_3_mod_4():
-    from bianchi.orders import LambdaClass
     from bianchi.quadfield import ImagQuadField, is_ideal_norm
 
     for d in range(3, 200, 4):
@@ -100,7 +99,7 @@ def test_maximal_d2_absent_for_every_order_type_when_d_is_3_mod_4():
             continue
         k = ImagQuadField(d)
         for lam in range(1, 16):
-            if LambdaClass.from_index(lam).value != lam or not is_ideal_norm(lam, k):
+            if not is_squarefree(lam) or not is_ideal_norm(lam, k):
                 continue
             assert not contains_in_order(SubgroupKind.D2MAX, lam, d), (d, lam)
 
@@ -147,16 +146,14 @@ def test_classify_report_d5():
 
 def test_containment_constant_on_isomorphism_classes():
     # isomorphic maximal orders host the same group types
-    from bianchi.orders import LambdaClass, maximal_orders_isomorphic
+    from bianchi.orders import maximal_orders_isomorphic
     from bianchi.quadfield import ImagQuadField, is_ideal_norm
     from bianchi.quaternion import MATRIX_ALGEBRA
 
     for d in (1, 2, 5, 6, 10, 13, 17, 21, 30):
         k = ImagQuadField(d)
         classes = [
-            LambdaClass(m)
-            for m in range(1, 20)
-            if LambdaClass.from_index(m).value == m and is_ideal_norm(m, k)
+            m for m in range(1, 20) if is_squarefree(m) and is_ideal_norm(m, k)
         ]
         for a in classes:
             for b in classes:

