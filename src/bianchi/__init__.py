@@ -31,12 +31,12 @@ from .classify import (
     host_algebra_split,
 )
 from .orders import (
-    HilbertCharacter,
     IncompatibleIndexError,
     LocalCountQuery,
     automorphism_index,
     compatible_order_exists,
     global_embedding_count,
+    hilbert_character,
     intersection_character,
     joint_intersection_factor,
     local_embedding_count,
@@ -84,12 +84,12 @@ __all__ = [
     "gamma",
     "gamma_composed",
     "host_algebra_split",
-    "HilbertCharacter",
     "IncompatibleIndexError",
     "LocalCountQuery",
     "automorphism_index",
     "compatible_order_exists",
     "global_embedding_count",
+    "hilbert_character",
     "intersection_character",
     "joint_intersection_factor",
     "local_embedding_count",

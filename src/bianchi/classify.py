@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .orders import FieldPass, HilbertCharacter, IncompatibleIndexError
-from .orders import _index_class, global_embedding_count
-from .quadfield import ImagQuadField, is_ideal_norm
+from .orders import FieldPass, IncompatibleIndexError
+from .orders import _order_type, global_embedding_count, hilbert_character
+from .quadfield import ImagQuadField
 from .quaternion import KINDS, SubgroupKind, group_algebra, sigma
 
 
@@ -62,14 +62,9 @@ def contains_in_order(kind: SubgroupKind, lam_M: int, d: FieldLike) -> bool:
     place v where F is unramified, i.e. outside {3, oo} resp. {2, oo}.
     """
     k = _field(d)
-    lam_M = _index_class(lam_M)
-    if not is_ideal_norm(lam_M, k):
-        raise ValueError(
-            f"lam={lam_M} is not an admissible M2(k)-order type for d={k.d}"
-        )
     data = group_algebra(kind)
-    a = sigma(data.algebra) * data.lambda_of_group_order * lam_M
-    return HilbertCharacter.of_square_class(a, k).minus_places <= data.algebra.ramified
+    a = sigma(data.algebra) * data.lambda_of_group_order * _order_type(lam_M, k)
+    return hilbert_character(a, k) <= data.algebra.ramified
 
 
 def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:

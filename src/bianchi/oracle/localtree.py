@@ -23,7 +23,6 @@ repeating the count at K + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -167,20 +166,12 @@ def _lattice(mats: list[RMat], tau: int, p: int) -> Lattice:
     return rows, e
 
 
-@dataclass(frozen=True)
-class _Vertex:
-    """A vertex of the local tree: the lattice class of (pi^a, b; 0, pi^c)
-    applied to the base, at distance a + c from it."""
-
-    a: int
-    c: int
-    b: Pair
-    distance: int
-
-
-def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[_Vertex]:
+def enumerate_vertices(
+    k: ImagQuadField, p: int, max_distance: int
+) -> list[tuple[int, int, Pair]]:
     """All tree vertices at distance <= max_distance from the base class,
-    as primitive upper-triangular transition matrices."""
+    as the entries (a, c, b) of the primitive upper-triangular transition
+    matrices (pi^a, b; 0, pi^c); a vertex lies at distance a + c."""
     _validate_ramified(k, p)
     out = []
     for m in range(max_distance + 1):
@@ -192,18 +183,18 @@ def enumerate_vertices(k: ImagQuadField, p: int, max_distance: int) -> list[_Ver
                 if a > 0 and c > 0 and x % p == 0:
                     continue
                 for y in range(ys):
-                    out.append(_Vertex(a, c, (x, y), m))
+                    out.append((a, c, (x, y)))
     return out
 
 
-def _vertex_matrix(d: int, v: _Vertex) -> Flat:
+def _vertex_matrix(d: int, a: int, c: int, b: Pair) -> Flat:
     """(pi^a, b; 0, pi^c), as pi^n = (-d)^(n // 2) * pi^(n % 2)."""
 
     def pi_power(n: int) -> Pair:
         z = (-d) ** (n // 2)
         return (0, z) if n % 2 else (z, 0)
 
-    return (*pi_power(v.a), *v.b, 0, 0, *pi_power(v.c))
+    return (*pi_power(a), *b, 0, 0, *pi_power(c))
 
 
 def _intersection(
@@ -314,16 +305,16 @@ def _counts_at_precisions(
     v_L = valuation(L, p)
     target_dual = _dual(target, p)
     counts = [0] * len(precisions)
-    for v in enumerate_vertices(k, p, r + 1):
-        J = _vertex_matrix(d, v)
+    for a, c, b in enumerate_vertices(k, p, r + 1):
+        J = _vertex_matrix(d, a, c, b)
         J_inv, _ = _minv(J, 0, -d)  # over d^m, and v_p(d^m) = m as p exactly divides d
         conj = [_mmul(_mmul(J_inv, X, 0, -d), J, 0, -d) for X in E]
         for i, K_prec in enumerate(precisions):
-            lat, lat_volume = _intersection(conj, v_L + v.distance, p, K_prec)
+            lat, lat_volume = _intersection(conj, v_L + a + c, p, K_prec)
             if lat_volume == volume and _inside(lat, target_dual, p):
-                if v.distance != r:
+                if a + c != r:
                     raise RuntimeError(
-                        f"intersection matched target at distance {v.distance} != {r}"
+                        f"intersection matched target at distance {a + c} != {r}"
                     )
                 counts[i] += 1
     return counts

@@ -37,40 +37,35 @@ def _index_class(n: int) -> int:
     return squarefree_part(n)
 
 
-@dataclass(frozen=True)
-class HilbertCharacter:
-    """A finitely supported map Place -> {-1, +1}, stored by its -1 set.
+def hilbert_character(
+    m: int, k: ImagQuadField, *, primes: Optional[list[int]] = None
+) -> frozenset[Place]:
+    """The character v -> (m, -d)_v, the one evaluator of that symbol,
+    given by the set of places where it is -1. Reciprocity makes that set
+    even.
 
-    Reciprocity forces the number of -1 entries to be even for every
-    character arising here.
+    A positive square m gives the trivial character, with no symbol
+    evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
+    primes of m and d, so only those places are evaluated; d's primes
+    are read from the field, and m's from ``primes`` if given.
     """
+    if m > 0 and isqrt(m) ** 2 == m:
+        return frozenset()
+    if primes is None:
+        primes = factorize(m).primes()
+    places = {INFINITY, *map(_proven_place, {2, *primes, *k.primes})}
+    return frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1)
 
-    minus_places: frozenset[Place]
 
-    def __mul__(self, other: "HilbertCharacter") -> "HilbertCharacter":
-        return HilbertCharacter(self.minus_places ^ other.minus_places)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.minus_places
-
-    @classmethod
-    def of_square_class(
-        cls, m: int, k: ImagQuadField, *, primes: Optional[list[int]] = None
-    ) -> "HilbertCharacter":
-        """The character v -> (m, -d)_v, the one evaluator of that symbol.
-
-        A positive square m gives the trivial character, with no symbol
-        evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
-        primes of m and d, so only those places are evaluated; d's primes
-        are read from the field, and m's from ``primes`` if given.
-        """
-        if m > 0 and isqrt(m) ** 2 == m:
-            return cls(frozenset())
-        if primes is None:
-            primes = factorize(m).primes()
-        places = {INFINITY, *map(_proven_place, {2, *primes, *k.primes})}
-        return cls(frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1))
+def _order_type(lam_M: int, k: ImagQuadField) -> int:
+    """The index class of lam_M, the type of a maximal order of M2(k);
+    ValueError unless it is an ideal norm of k."""
+    lam = _index_class(lam_M)
+    if not is_ideal_norm(lam, k):
+        raise ValueError(
+            f"lam={lam} is not an admissible M2(k)-order type for d={k.d}"
+        )
+    return lam
 
 
 def _divisors_of_primes(primes: tuple[int, ...]) -> list[int]:
@@ -79,11 +74,6 @@ def _divisors_of_primes(primes: tuple[int, ...]) -> list[int]:
     for p in primes:
         divs += [d * p for d in divs]
     return sorted(divs)
-
-
-def squarefree_divisors(n: int) -> list[int]:
-    """All positive divisors of squarefree n >= 1, ascending."""
-    return _divisors_of_primes(factorize(n).primes() if n > 1 else ())
 
 
 def _sigma_k_primes(F: QuaternionAlgebraQ, sk: int) -> tuple[int, ...]:
@@ -133,24 +123,23 @@ def maximal_orders_isomorphic(
     """
     m = squarefree_part(_index_class(lam1) * _index_class(lam2))
     return any(
-        HilbertCharacter.of_square_class(f * m, k).is_trivial
-        for f in squarefree_divisors(sigma_k(F, k))
+        not hilbert_character(f * m, k)
+        for f in _divisors_of_primes(_sigma_k_primes(F, sigma_k(F, k)))
     )
 
 
 def intersection_character(
     F: QuaternionAlgebraQ, lam_M: int, k: ImagQuadField
-) -> HilbertCharacter:
+) -> frozenset[Place]:
     """The Hilbert character forced on the index of F meet M, for M a maximal
-    order of M2(k) of type lam_M (measured against M2(o)).
+    order of M2(k) of type lam_M (measured against M2(o)), as its -1 set.
 
     Requires sigma_k(F) = 1, i.e. that F embeds in M2(k). The character is
     v -> (F at v) * (sigma(F) * lam_M, -d)_v.
     """
     if sigma_k(F, k) != 1:
         raise ValueError("F does not embed in M2(k): sigma_k(F) != 1")
-    m = sigma(F) * _index_class(lam_M)
-    return HilbertCharacter(F.ramified) * HilbertCharacter.of_square_class(m, k)
+    return F.ramified ^ hilbert_character(sigma(F) * _order_type(lam_M, k), k)
 
 
 def joint_intersection_factor(
@@ -174,9 +163,9 @@ def joint_intersection_factor(
     base = sigma(F) * sigma(F2)
     for lam in (lam_F, lam_MM2, lam_F2):
         base *= _index_class(lam)
-    target = HilbertCharacter(F.ramified ^ F2.ramified)
-    for f in squarefree_divisors(sigma_k(F, k)):
-        if HilbertCharacter.of_square_class(base * f, k) == target:
+    target = F.ramified ^ F2.ramified
+    for f in _divisors_of_primes(_sigma_k_primes(F, sigma_k(F, k))):
+        if hilbert_character(base * f, k) == target:
             return f
     return None
 
@@ -282,9 +271,7 @@ def unit_character_divisors(
     return [1] + [
         f
         for f in _divisors_of_primes(qs)[1:]
-        if HilbertCharacter.of_square_class(
-            f, k, primes=[q for q in qs if f % q == 0]
-        ).is_trivial
+        if not hilbert_character(f, k, primes=[q for q in qs if f % q == 0])
     ]
 
 

@@ -87,11 +87,16 @@ def sigma_k(
     """Product of the finite ramified primes of F that split in k.
 
     This invariant decides which k-quaternion algebra F extends to; it is 1
-    exactly when F embeds in M2(k). A caller may pass the ``splits`` of F's primes.
+    exactly when F embeds in M2(k). A caller may pass the ``splits`` of F's
+    primes; ValueError if it misses one.
     """
     s = 1
     for p in F.finite_ramified:
-        if (splits[p] if splits else splitting(k, p)) is SplitType.SPLIT:
+        try:
+            split = splitting(k, p) if splits is None else splits[p]
+        except KeyError:
+            raise ValueError(f"splits misses the ramified prime {p} of {F}") from None
+        if split is SplitType.SPLIT:
             s *= p
     return s
 
@@ -140,7 +145,6 @@ class GroupAlgebraData:
     """The rational quaternion algebra spanned by a finite group's preimage,
     with the index of its group order and its outer automorphism index."""
 
-    kind: SubgroupKind
     algebra: QuaternionAlgebraQ
     lambda_of_group_order: int
     aut_index: int
@@ -150,9 +154,9 @@ _D3_ALGEBRA = QuaternionAlgebraQ(frozenset({Place(3), INFINITY}))
 _T_ALGEBRA = QuaternionAlgebraQ(frozenset({Place(2), INFINITY}))
 
 _GROUP_ALGEBRAS = {
-    SubgroupKind.D3: GroupAlgebraData(SubgroupKind.D3, _D3_ALGEBRA, 1, 2),
-    SubgroupKind.T: GroupAlgebraData(SubgroupKind.T, _T_ALGEBRA, 1, 2),
-    SubgroupKind.D2MAX: GroupAlgebraData(SubgroupKind.D2MAX, _T_ALGEBRA, 2, 6),
+    SubgroupKind.D3: GroupAlgebraData(_D3_ALGEBRA, 1, 2),
+    SubgroupKind.T: GroupAlgebraData(_T_ALGEBRA, 1, 2),
+    SubgroupKind.D2MAX: GroupAlgebraData(_T_ALGEBRA, 2, 6),
 }
 
 

@@ -100,8 +100,8 @@ def test_vertex_counts_per_distance(p, d):
     k = ImagQuadField(d)
     vertices = enumerate_vertices(k, p, 3)
     by_dist = {}
-    for v in vertices:
-        by_dist[v.distance] = by_dist.get(v.distance, 0) + 1
+    for a, c, _ in vertices:
+        by_dist[a + c] = by_dist.get(a + c, 0) + 1
     assert by_dist[0] == 1
     for m in (1, 2, 3):
         assert by_dist[m] == (p + 1) * p ** (m - 1)

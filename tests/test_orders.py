@@ -1,24 +1,32 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bianchi.arith import Place, is_prime, is_squarefree, squarefree_part
+from bianchi.arith import (
+    Place,
+    hilbert_symbol,
+    is_prime,
+    is_squarefree,
+    relevant_places,
+    squarefree_part,
+)
+from bianchi.classify import contains_in_order
 from bianchi.orders import (
-    HilbertCharacter,
     IncompatibleIndexError,
     LocalCountQuery,
     automorphism_index,
     compatible_order_exists,
     global_embedding_count,
+    hilbert_character,
     intersection_character,
     joint_intersection_factor,
     local_embedding_count,
     _index_class,
     maximal_orders_isomorphic,
     ramified_pairing_rank,
-    squarefree_divisors,
     unit_character_divisors,
 )
 from bianchi.quadfield import SplitType, make_field
@@ -27,6 +35,7 @@ from bianchi.quaternion import (
     SubgroupKind,
     from_hilbert_pair,
     group_algebra,
+    sigma,
     sigma_k,
 )
 from solver_oracle import hilbert_symbol_by_search
@@ -47,11 +56,6 @@ def test_lambda_class_validation():
             intersection_character(MATRIX_ALGEBRA, n, make_field(7))
         with pytest.raises(ValueError):
             maximal_orders_isomorphic(1, n, MATRIX_ALGEBRA, make_field(7))
-
-
-def test_squarefree_divisors():
-    assert squarefree_divisors(1) == [1]
-    assert squarefree_divisors(6) == [1, 2, 3, 6]
 
 
 def test_compatible_order_exists_examples():
@@ -100,17 +104,26 @@ def test_isomorphism_is_equivalence_relation(d, F):
 
 
 def test_intersection_character_examples():
-    assert intersection_character(MATRIX_ALGEBRA, 1, make_field(7)).is_trivial
+    assert not intersection_character(MATRIX_ALGEBRA, 1, make_field(7))
     # D3's algebra meets M2(o) of Q(i*sqrt(3)) in its own maximal order,
     # so the forced character of the index is trivial
-    assert intersection_character(FD3, 1, make_field(3)).is_trivial
+    assert not intersection_character(FD3, 1, make_field(3))
     ch = intersection_character(FT, 1, make_field(2))
-    assert len(ch.minus_places) % 2 == 0
+    assert len(ch) % 2 == 0
 
 
 def test_intersection_character_requires_embedding():
     with pytest.raises(ValueError):
         intersection_character(FD3, 1, make_field(5))  # sigma_k = 3
+
+
+def test_intersection_character_rejects_an_inadmissible_order_type():
+    # 3 is inert in Q(i), so no maximal order of M2(k) has type 3
+    message = re.escape("lam=3 is not an admissible M2(k)-order type for d=1")
+    with pytest.raises(ValueError, match=message):
+        contains_in_order(SubgroupKind.T, 3, make_field(1))
+    with pytest.raises(ValueError, match=message):
+        intersection_character(MATRIX_ALGEBRA, 3, make_field(1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 10, 13, 17, 21, 33])
@@ -121,7 +134,7 @@ def test_intersection_character_even_minus_count(d):
             continue
         for lam in _admissible_classes(F, k):
             ch = intersection_character(F, lam, k)
-            assert len(ch.minus_places) % 2 == 0
+            assert len(ch) % 2 == 0
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 10, 13, 17])
@@ -133,14 +146,14 @@ def test_character_triple_product(d):
             continue
         classes = _admissible_classes(F, k, bound=12)
         for a, b in itertools.combinations(classes, 2):
-            prod = intersection_character(F, a, k) * intersection_character(F, b, k)
+            prod = intersection_character(F, a, k) ^ intersection_character(F, b, k)
             m = squarefree_part(a * b)
-            assert prod == HilbertCharacter.of_square_class(m, k)
+            assert prod == hilbert_character(m, k)
 
 
 def _is_norm(n, k):
     # Hasse: n is a norm from k^x iff (n, -d)_v = +1 at every place
-    return HilbertCharacter.of_square_class(n, k).is_trivial
+    return not hilbert_character(n, k)
 
 
 def test_trivial_character_examples():
@@ -184,6 +197,65 @@ def test_joint_intersection_factor_examples():
 def test_joint_intersection_factor_requires_common_extension():
     with pytest.raises(ValueError):
         joint_intersection_factor(FD3, 1, MATRIX_ALGEBRA, 1, 1, make_field(5))
+
+
+# algebras with sigma_k of up to two primes: (3, 5) is ramified at {3, 5},
+# so over d = 11, where 3 and 5 split, its sigma_k is 15
+REFERENCE_ALGEBRAS = [
+    MATRIX_ALGEBRA,
+    FD3,
+    FT,
+    from_hilbert_pair(3, 5),
+    from_hilbert_pair(-1, 3),
+    from_hilbert_pair(2, 5),
+]
+
+
+def _minus_set_by_symbol(n, d):
+    return {v for v in relevant_places(n, d) if hilbert_symbol(n, -d, v) == -1}
+
+
+def _sigma_k_divisors_by_trial(sk):
+    return [f for f in range(1, sk + 1) if sk % f == 0 and is_squarefree(f)]
+
+
+def test_maximal_orders_isomorphic_matches_a_brute_force_reference():
+    two_prime_fields = 0
+    for d in (d for d in range(1, 40) if is_squarefree(d)):
+        k = make_field(d)
+        for F in REFERENCE_ALGEBRAS:
+            divisors = _sigma_k_divisors_by_trial(sigma_k(F, k))
+            two_prime_fields += len(divisors) == 4
+            for lam1, lam2 in itertools.combinations_with_replacement(
+                (1, 2, 3, 5, 6, 7, 10, 11), 2
+            ):
+                m = squarefree_part(lam1 * lam2)
+                expected = any(not _minus_set_by_symbol(f * m, d) for f in divisors)
+                assert maximal_orders_isomorphic(lam1, lam2, F, k) == expected
+    assert two_prime_fields > 0
+
+
+def test_joint_intersection_factor_matches_a_brute_force_reference():
+    two_prime_fields = 0
+    for d in (d for d in range(1, 40) if is_squarefree(d)):
+        k = make_field(d)
+        for F, F2 in itertools.product(REFERENCE_ALGEBRAS, repeat=2):
+            sk = sigma_k(F, k)
+            if sk != sigma_k(F2, k):
+                continue
+            divisors = _sigma_k_divisors_by_trial(sk)
+            two_prime_fields += len(divisors) == 4
+            target = F.ramified ^ F2.ramified
+            for lam_F, lam_F2, lam_MM2 in itertools.product((1, 2, 3), repeat=3):
+                base = sigma(F) * sigma(F2) * lam_F * lam_F2 * lam_MM2
+                matches = (
+                    f
+                    for f in divisors
+                    if _minus_set_by_symbol(base * f, d) == target
+                )
+                found = joint_intersection_factor(F, lam_F, F2, lam_F2, lam_MM2, k)
+                assert found == next(matches, None)
+    assert two_prime_fields > 0
 
 
 def test_local_count_examples():
@@ -266,6 +338,13 @@ def test_incomplete_splits_are_rejected():
     assert global_embedding_count(1, FD3, k, sk=1, splits=full) == 2
     with pytest.raises(IncompatibleIndexError):
         global_embedding_count(3, FT, k, splits=full)
+    # sigma_k of D3's algebra over d = 5 is 3; an empty splits is no licence
+    # to read 3 off the field, and a splits without 3 names it
+    k5 = make_field(5)
+    for splits in ({}, two):
+        with pytest.raises(ValueError, match="ramified prime 3 "):
+            sigma_k(FD3, k5, splits=splits)
+    assert sigma_k(FD3, k5, splits={2: SplitType.INERT, 3: SplitType.SPLIT}) == 3
 
 
 def test_automorphism_index_examples():
