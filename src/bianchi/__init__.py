@@ -18,9 +18,7 @@ from .arith import (
     squarefree_part,
 )
 from .classify import (
-    ClassificationReport,
     GammaMismatchError,
-    KindReport,
     NoHostOrderError,
     checked_gamma,
     classify_report,
@@ -73,9 +71,7 @@ __all__ = [
     "hilbert_symbol",
     "kronecker",
     "squarefree_part",
-    "ClassificationReport",
     "GammaMismatchError",
-    "KindReport",
     "NoHostOrderError",
     "checked_gamma",
     "classify_report",

@@ -9,13 +9,12 @@ on mismatch, which serves as the library's built-in self test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .orders import FieldPass, IncompatibleIndexError
 from .orders import _order_type, global_embedding_count, hilbert_character
 from .quadfield import ImagQuadField
-from .quaternion import KINDS, SubgroupKind, group_algebra, sigma
+from .quaternion import KINDS, MATRIX_ALGEBRA, SubgroupKind, group_algebra, sigma
 
 
 class NoHostOrderError(ValueError):
@@ -27,6 +26,16 @@ class GammaMismatchError(RuntimeError):
 
 
 FieldLike = Union[int, ImagQuadField]
+
+SCHEMA_VERSION = "1.0"
+
+#: the paper's results behind every report, shared by every row
+_PROVENANCE = (
+    "existence-congruences",
+    "order-type-symbol-criteria",
+    "local-embedding-count-tables",
+    "conjugacy-class-count-formulas",
+)
 
 
 def _field(d: Union[FieldLike, FieldPass]) -> ImagQuadField:
@@ -63,7 +72,8 @@ def contains_in_order(kind: SubgroupKind, lam_M: int, d: FieldLike) -> bool:
     """
     k = _field(d)
     data = group_algebra(kind)
-    a = sigma(data.algebra) * data.lambda_of_group_order * _order_type(lam_M, k)
+    lam = _order_type(lam_M, MATRIX_ALGEBRA, k)
+    a = sigma(data.algebra) * data.lambda_of_group_order * lam
     return hilbert_character(a, k) <= data.algebra.ramified
 
 
@@ -86,19 +96,17 @@ def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
     return True
 
 
-def gamma(kind: SubgroupKind, d: FieldLike, *, host: bool | None = None) -> int:
+def gamma(kind: SubgroupKind, d: FieldLike) -> int:
     """Conjugacy classes of maximal finite subgroups of the given type in
     the unit group of a maximal order of its host algebra (closed form).
 
     D3 counts over t = #primes != 3 of the discriminant; T and maximal D2
     count over t = #odd primes of d. The answer is 2^t except in the
     division-host cases, where it doubles exactly when every relevant prime
-    of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8). A
-    caller that holds host = host_algebra_split(kind, d) may pass it.
+    of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8).
     """
     k = _field(d)
-    if host is None:
-        host = host_algebra_split(kind, k)  # raises for D2, d = 3 mod 4
+    host = host_algebra_split(kind, k)  # raises for D2, d = 3 mod 4
     if kind is SubgroupKind.D3:
         t = len(k.discriminant_primes()) - (k.d % 3 == 0)
         doubles = not host and all(p % 12 in (1, 11) for p in k.primes if p != 2)
@@ -129,11 +137,11 @@ def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     return B1 // data.aut_index
 
 
-def checked_gamma(kind: SubgroupKind, d: FieldLike, *, host: bool | None = None) -> int:
+def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:
     """The conjugacy count by both ``gamma`` and ``gamma_composed``, the one
     place where the two paths are compared: raises GammaMismatchError unless
     they agree on a power of 2; a NoHostOrderError of the closed form propagates."""
-    closed = gamma(kind, d, host=host)
+    closed = gamma(kind, d)
     try:
         embedded = gamma_composed(kind, d)
     except NoHostOrderError:
@@ -146,42 +154,38 @@ def checked_gamma(kind: SubgroupKind, d: FieldLike, *, host: bool | None = None)
     return closed
 
 
-@dataclass(frozen=True)
-class KindReport:
-    kind: SubgroupKind
-    exists_in_psl2o: bool
-    host_algebra_split: Optional[bool]
-    gamma: Optional[int]
-    failing_primes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    d: int
-    kinds: tuple[KindReport, ...]
-
-    def for_kind(self, kind: SubgroupKind) -> KindReport:
-        for entry in self.kinds:
-            if entry.kind is kind:
-                return entry
-        raise KeyError(kind)
-
-
 _ALGEBRAS = tuple(dict.fromkeys(group_algebra(kind).algebra for kind in KINDS))
 
 
-def classify_report(d: FieldLike) -> ClassificationReport:
-    """Full classification for one d, with the conjugacy count computed by
-    both paths and checked for equality; the kinds share one field pass."""
+def classify_report(d: FieldLike) -> dict:
+    """The schema-1.0 row of one d, the value ``classify --format json``
+    prints and ``scan`` streams: per kind, in KINDS order, whether it exists
+    in PSL2(o), whether its host algebra is split and its conjugacy count
+    (both None where no maximal order hosts it; the count computed by both
+    paths and checked for equality), and its failing primes. The kinds share
+    one field pass."""
     shared = FieldPass(_field(d), _ALGEBRAS)
-    entries = []
+    kinds = []
     for kind in KINDS:
-        fails = tuple(failing_primes(kind, shared.k))
+        fails = failing_primes(kind, shared.k)
         try:
             split = host_algebra_split(kind, shared.k)
         except NoHostOrderError:
             split = count = None
         else:
-            count = checked_gamma(kind, shared, host=split)
-        entries.append(KindReport(kind, not fails, split, count, fails))
-    return ClassificationReport(shared.k.d, tuple(entries))
+            count = checked_gamma(kind, shared)
+        kinds.append(
+            {
+                "kind": kind.value,
+                "exists": not fails,
+                "host_split": split,
+                "gamma": count,
+                "failing_primes": fails,
+            }
+        )
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "d": shared.k.d,
+        "kinds": kinds,
+        "provenance": {"paper_theorems": _PROVENANCE},
+    }

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import factorize, hilbert_symbol
 from .classify import (
-    ClassificationReport,
+    SCHEMA_VERSION,
     GammaMismatchError,
     checked_gamma,
     classify_report,
@@ -39,15 +39,6 @@ from .quaternion import (
 from .oracle import PrecisionError, count_maximal_orders_local, find_subgroup
 from .oracle.localtree import _smallest_nonresidue
 from .oracle.subgroups import MAX_HEIGHT
-
-SCHEMA_VERSION = "1.0"
-
-_PROVENANCE = [
-    "existence-congruences",
-    "order-type-symbol-criteria",
-    "local-embedding-count-tables",
-    "conjugacy-class-count-formulas",
-]
 
 #: d per segment of the squarefree sieve, which bounds its memory at any dmax
 _SIEVE_SPAN = 1 << 12
@@ -107,52 +98,27 @@ def _squarefree_range(lo: int, hi: int) -> Iterator[ImagQuadField]:
                 yield ImagQuadField._from_primes(a + i, ps)
 
 
-def _report_payload(report: ClassificationReport) -> dict:
-    kinds = []
-    for entry in report.kinds:
-        kinds.append(
-            {
-                "kind": entry.kind.value,
-                "exists": entry.exists_in_psl2o,
-                "host_split": entry.host_algebra_split,
-                "gamma": entry.gamma,
-                "failing_primes": list(entry.failing_primes),
-            }
-        )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "d": report.d,
-        "kinds": kinds,
-        "provenance": {"paper_theorems": _PROVENANCE},
-    }
-
-
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _render_report_table(report: ClassificationReport) -> str:
-    lines = [f"d = {report.d}"]
+def _render_report_table(report: dict) -> str:
     header = f"{'kind':<6} {'in PSL2(o)':<11} {'host':<9} {'gamma':<6} failing primes"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for entry in report.kinds:
-        host = (
-            "-"
-            if entry.host_algebra_split is None
-            else ("matrix" if entry.host_algebra_split else "division")
-        )
-        g = "-" if entry.gamma is None else str(entry.gamma)
-        fp = ",".join(map(str, entry.failing_primes)) or "-"
-        mark = "yes" if entry.exists_in_psl2o else "no"
-        lines.append(f"{entry.kind.value:<6} {mark:<11} {host:<9} {g:<6} {fp}")
+    lines = [f"d = {report['d']}", header, "-" * len(header)]
+    for entry in report["kinds"]:
+        split = entry["host_split"]
+        host = "-" if split is None else ("matrix" if split else "division")
+        g = "-" if entry["gamma"] is None else str(entry["gamma"])
+        fp = ",".join(map(str, entry["failing_primes"])) or "-"
+        mark = "yes" if entry["exists"] else "no"
+        lines.append(f"{entry['kind']:<6} {mark:<11} {host:<9} {g:<6} {fp}")
     return "\n".join(lines)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     report = classify_report(args.d)
     if args.format == "json":
-        print(_dump(_report_payload(report)))
+        print(_dump(report))
     else:
         print(_render_report_table(report))
     return 0
@@ -187,15 +153,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for k in _squarefree_range(1, args.dmax):
         report = classify_report(k)
         for j, i in enumerate(chosen):
-            totals[j] += report.kinds[i].exists_in_psl2o
+            totals[j] += report["kinds"][i]["exists"]
         if json_mode:
-            row = _dump(_report_payload(report))
+            row = _dump(report)
             write(f",{row}" if n_rows else row)
         else:
-            entries = [report.kinds[i] for i in chosen]
-            marks = "".join(f"{'x' if e.exists_in_psl2o else '.':<5}" for e in entries)
-            gammas = ",".join("-" if e.gamma is None else str(e.gamma) for e in entries)
-            print(f"{report.d:<7}{marks}{gammas}")
+            entries = [report["kinds"][i] for i in chosen]
+            marks = "".join(f"{'x' if e['exists'] else '.':<5}" for e in entries)
+            counts = ("-" if e["gamma"] is None else str(e["gamma"]) for e in entries)
+            print(f"{report['d']:<7}{marks}{','.join(counts)}")
         n_rows += 1
     if json_mode:
         by_name = {k.value: n for k, n in zip(kinds, totals)}

@@ -23,7 +23,8 @@ from .arith import (
     valuation,
 )
 from .quadfield import ImagQuadField, Splits, SplitType, is_ideal_norm, splitting
-from .quaternion import QuaternionAlgebraQ, embeds_in_common_extension, sigma, sigma_k
+from .quaternion import MATRIX_ALGEBRA, QuaternionAlgebraQ, sigma, sigma_k
+from .quaternion import embeds_in_common_extension
 
 
 class IncompatibleIndexError(ValueError):
@@ -57,13 +58,15 @@ def hilbert_character(
     return frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1)
 
 
-def _order_type(lam_M: int, k: ImagQuadField) -> int:
-    """The index class of lam_M, the type of a maximal order of M2(k);
-    ValueError unless it is an ideal norm of k."""
+def _order_type(lam_M: int, F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
+    """The index class of lam_M, the type of a maximal order of the k-algebra
+    extending F; ValueError unless some compatible order has that index,
+    which for F = M2(Q) means that it is an ideal norm of k."""
     lam = _index_class(lam_M)
-    if not is_ideal_norm(lam, k):
+    if not compatible_order_exists(lam, F, k):
+        host = "M2(k)" if F == MATRIX_ALGEBRA else repr(F)
         raise ValueError(
-            f"lam={lam} is not an admissible M2(k)-order type for d={k.d}"
+            f"lam={lam} is not an admissible {host}-order type for d={k.d}"
         )
     return lam
 
@@ -119,9 +122,10 @@ def maximal_orders_isomorphic(
 
     The mutual intersection index is lam1*lam2 modulo squares, and the
     orders are isomorphic iff some squarefree f | sigma_k(F) makes
-    (f * lam1 * lam2, -d)_v = +1 at every place.
+    (f * lam1 * lam2, -d)_v = +1 at every place. ValueError unless some
+    compatible order has the index class of lam1, and of lam2.
     """
-    m = squarefree_part(_index_class(lam1) * _index_class(lam2))
+    m = squarefree_part(_order_type(lam1, F, k) * _order_type(lam2, F, k))
     return any(
         not hilbert_character(f * m, k)
         for f in _divisors_of_primes(_sigma_k_primes(F, sigma_k(F, k)))
@@ -139,7 +143,8 @@ def intersection_character(
     """
     if sigma_k(F, k) != 1:
         raise ValueError("F does not embed in M2(k): sigma_k(F) != 1")
-    return F.ramified ^ hilbert_character(sigma(F) * _order_type(lam_M, k), k)
+    lam = _order_type(lam_M, MATRIX_ALGEBRA, k)
+    return F.ramified ^ hilbert_character(sigma(F) * lam, k)
 
 
 def joint_intersection_factor(

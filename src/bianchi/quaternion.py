@@ -121,17 +121,14 @@ def normalize_tau(tau: int, k: ImagQuadField) -> int:
         raise ValueError("tau must be nonzero")
     d = k.d
     tau = squarefree_part(tau)
-    # clear common factors with d; one pass suffices, but guard regardless
-    for _ in range(64):
-        g = gcd(abs(tau), d)
-        if g == 1:
-            break
-        tau_low, d_low = tau // g, d // g
-        tau = squarefree_part(tau_low * (d_low + g))
-        if gcd(abs(tau), d) >= g:
+    # Clear the common factor g = gcd(tau, d) in one step: tau/g shares no
+    # prime with d, as tau is squarefree, and neither does d/g + g, as d is
+    # squarefree, so a prime of g does not divide d/g and one of d/g not g.
+    g = gcd(abs(tau), d)
+    if g > 1:
+        tau = squarefree_part(tau // g * (d // g + g))
+        if gcd(abs(tau), d) != 1:
             raise AssertionError("gcd clearing must strictly decrease")
-    else:
-        raise AssertionError("gcd clearing failed to terminate")
     # a leftover factor 2 of D is possible only for odd d = 1 mod 4
     if d % 4 == 1 and tau % 2 == 0:
         tau = squarefree_part(tau * (d + 1) // 4)

@@ -121,27 +121,28 @@ def test_gamma_paths_agree_and_are_powers_of_two():
 
 def test_classify_report_structure():
     report = classify_report(3)
-    d3, t, d2 = report.kinds
-    assert (d3.exists_in_psl2o, t.exists_in_psl2o, d2.exists_in_psl2o) == (
+    d3, t, d2 = report["kinds"]
+    assert [e["kind"] for e in report["kinds"]] == ["d3", "t", "d2"]
+    assert (d3["exists"], t["exists"], d2["exists"]) == (
         True,
         True,
         False,
     )
-    assert d2.host_algebra_split is None and d2.gamma is None
-    assert d2.failing_primes == (3,)
-    assert report.for_kind(SubgroupKind.T).gamma == 2
+    assert d2["host_split"] is None and d2["gamma"] is None
+    assert d2["failing_primes"] == [3]
+    assert t["gamma"] == 2
 
 
 def test_classify_report_d5():
     report = classify_report(5)
-    d3, t, d2 = report.kinds
-    assert (d3.exists_in_psl2o, t.exists_in_psl2o, d2.exists_in_psl2o) == (
+    d3, t, d2 = report["kinds"]
+    assert (d3["exists"], t["exists"], d2["exists"]) == (
         False,
         False,
         True,
     )
-    assert d3.host_algebra_split is False
-    assert d2.gamma == 2
+    assert d3["host_split"] is False
+    assert d2["gamma"] == 2
 
 
 def test_containment_constant_on_isomorphism_classes():
@@ -169,12 +170,12 @@ def test_classify_report_d91():
     # 91 = 7 * 13: both are 1 mod 3, but 7 fails the mod-8 and mod-4 tests
     for d in (91, ImagQuadField(91)):
         report = classify_report(d)
-        assert report.d == 91
-        d3, t, d2 = report.kinds
-        assert d3.exists_in_psl2o
-        assert not t.exists_in_psl2o and not d2.exists_in_psl2o
-        assert t.failing_primes == (7, 13)  # 13 = 5 mod 8 also fails for T
-        assert d2.failing_primes == (7,)
+        assert report["d"] == 91
+        d3, t, d2 = report["kinds"]
+        assert d3["exists"]
+        assert not t["exists"] and not d2["exists"]
+        assert t["failing_primes"] == [7, 13]  # 13 = 5 mod 8 also fails for T
+        assert d2["failing_primes"] == [7]
 
 
 def test_classify_gamma_presence_matches_host_existence():
@@ -182,11 +183,11 @@ def test_classify_gamma_presence_matches_host_existence():
         if not is_squarefree(d):
             continue
         report = classify_report(d)
-        for entry in report.kinds:
-            if entry.kind is SubgroupKind.D2MAX and d % 4 == 3:
-                assert entry.gamma is None
+        for entry in report["kinds"]:
+            if entry["kind"] == SubgroupKind.D2MAX.value and d % 4 == 3:
+                assert entry["gamma"] is None
             else:
-                assert entry.gamma is not None
+                assert entry["gamma"] is not None
 
 
 def test_classify_report_raises_when_gamma_paths_differ(monkeypatch):
@@ -282,8 +283,9 @@ def test_shared_pass_matches_the_per_function_api():
     ds = [d for d in range(1, 2001) if is_squarefree(d)]
     for d in ds + [10000000019, 3037000453 * 3037000493]:
         report = classify_report(d)
-        for kind in KINDS:
-            count = report.for_kind(kind).gamma
+        for kind, entry in zip(KINDS, report["kinds"]):
+            assert entry["kind"] == kind.value
+            count = entry["gamma"]
             assert (count is None) == (kind is SubgroupKind.D2MAX and d % 4 == 3)
             if count is None:
                 for path in (gamma, gamma_composed):

@@ -1,5 +1,6 @@
 import itertools
 import re
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -67,7 +68,8 @@ def test_compatible_order_exists_examples():
 
 def test_maximal_orders_isomorphic_examples():
     k1 = make_field(1)
-    assert maximal_orders_isomorphic(7, 7, MATRIX_ALGEBRA, k1)
+    with pytest.raises(ValueError):
+        maximal_orders_isomorphic(7, 7, MATRIX_ALGEBRA, k1)  # 7 is inert
     # (2, -1)_v = +1 everywhere (2 = norm of 1+i), confirmed by the search
     # oracle, so the type-2 order is isomorphic to the reference
     assert hilbert_symbol_by_search(2, -1, Place(2)) == 1
@@ -75,6 +77,19 @@ def test_maximal_orders_isomorphic_examples():
     assert maximal_orders_isomorphic(1, 5, MATRIX_ALGEBRA, k1)
     # over d = 5 the class of 2 is nontrivial: (2, -5)_5 is +1 but (2,-5)_2 = -1
     assert not maximal_orders_isomorphic(1, 2, MATRIX_ALGEBRA, make_field(5))
+
+
+def test_maximal_orders_isomorphic_rejects_an_inadmissible_index():
+    # 3 is inert in Q(i), so no maximal order of M2(k) has type 3
+    k = make_field(1)
+    assert not compatible_order_exists(3, MATRIX_ALGEBRA, k)
+    message = re.escape("lam=3 is not an admissible M2(k)-order type for d=1")
+    for lam1, lam2 in ((3, 3), (1, 3), (3, 1), (12, 1)):
+        with pytest.raises(ValueError, match=message):
+            maximal_orders_isomorphic(lam1, lam2, MATRIX_ALGEBRA, k)
+    # over d = 5, 3 splits but divides sigma_k = 3 of D3's algebra
+    with pytest.raises(ValueError, match="lam=3 .* for d=5"):
+        maximal_orders_isomorphic(5, 3, FD3, make_field(5))
 
 
 def _admissible_classes(F, k, bound=15):
@@ -215,24 +230,47 @@ def _minus_set_by_symbol(n, d):
     return {v for v in relevant_places(n, d) if hilbert_symbol(n, -d, v) == -1}
 
 
+def _not_inert_by_search(p, d):
+    # p is inert in k iff the minimal polynomial of the integral generator
+    # of o has no root mod p
+    if d % 4 == 3:
+        return any((x * x - x + (d + 1) // 4) % p == 0 for x in range(p))
+    return any((x * x + d) % p == 0 for x in range(p))
+
+
 def _sigma_k_divisors_by_trial(sk):
     return [f for f in range(1, sk + 1) if sk % f == 0 and is_squarefree(f)]
 
 
 def test_maximal_orders_isomorphic_matches_a_brute_force_reference():
-    two_prime_fields = 0
+    indices, primes = (1, 2, 3, 5, 6, 7, 10, 11), (2, 3, 5, 7, 11)
+    two_prime_pairs = 0
+    admissible_pairs = inadmissible_pairs = 0
     for d in (d for d in range(1, 40) if is_squarefree(d)):
         k = make_field(d)
         for F in REFERENCE_ALGEBRAS:
-            divisors = _sigma_k_divisors_by_trial(sigma_k(F, k))
-            two_prime_fields += len(divisors) == 4
-            for lam1, lam2 in itertools.combinations_with_replacement(
-                (1, 2, 3, 5, 6, 7, 10, 11), 2
-            ):
+            sk = sigma_k(F, k)
+            divisors = _sigma_k_divisors_by_trial(sk)
+            # admissible: prime to sk, and no prime of the index inert in k
+            admissible = {
+                lam
+                for lam in indices
+                if gcd(lam, sk) == 1
+                and all(_not_inert_by_search(p, d) for p in primes if lam % p == 0)
+            }
+            for lam1, lam2 in itertools.combinations_with_replacement(indices, 2):
+                if not {lam1, lam2} <= admissible:
+                    inadmissible_pairs += 1
+                    with pytest.raises(ValueError):
+                        maximal_orders_isomorphic(lam1, lam2, F, k)
+                    continue
+                admissible_pairs += 1
+                two_prime_pairs += len(divisors) == 4
                 m = squarefree_part(lam1 * lam2)
                 expected = any(not _minus_set_by_symbol(f * m, d) for f in divisors)
                 assert maximal_orders_isomorphic(lam1, lam2, F, k) == expected
-    assert two_prime_fields > 0
+    assert (admissible_pairs, inadmissible_pairs) == (2197, 3419)
+    assert two_prime_pairs > 0
 
 
 def test_joint_intersection_factor_matches_a_brute_force_reference():
