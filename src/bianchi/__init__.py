@@ -24,6 +24,7 @@ from .classify import (
     classify_report,
     contains_in_order,
     contains_in_psl2o,
+    dump_row,
     gamma,
     gamma_composed,
     host_algebra_split,
@@ -77,6 +78,7 @@ __all__ = [
     "classify_report",
     "contains_in_order",
     "contains_in_psl2o",
+    "dump_row",
     "gamma",
     "gamma_composed",
     "host_algebra_split",

@@ -256,34 +256,31 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _epsilon(u: int) -> int:
-    """(u-1)/2 mod 2 for odd u."""
-    return (u - 1) // 2 % 2
-
-
-def _omega2(u: int) -> int:
-    """(u^2-1)/8 mod 2 for odd u."""
-    return (u * u - 1) // 8 % 2
-
-
 def hilbert_symbol(a: int, b: int, v: Place) -> int:
     """Hilbert symbol (a, b)_v over Q_v of nonzero integers a, b, computed by
     the tame/dyadic formulas.
 
     Bimultiplicative, symmetric, depends only on the square classes of a, b.
     """
+    return _hilbert_symbol_at(a, b, v.p)
+
+
+def _hilbert_symbol_at(a: int, b: int, p: int | None) -> int:
+    """(a, b)_v at the place v of the prime p, or at oo for p None: the one
+    home of the formulas, which callers that hold the prime of v evaluate
+    without building a ``Place``."""
     if not a or not b:
         raise ValueError("the Hilbert symbol needs nonzero arguments")
-    if v.is_infinite:
+    if p is None:
         return -1 if (a < 0 and b < 0) else 1
-    p = v.p
-    assert p is not None
     alpha = valuation(a, p)
     beta = valuation(b, p)
     u = a // p**alpha
     w = b // p**beta
     if p == 2:
-        exp = _epsilon(u) * _epsilon(w) + alpha * _omega2(w) + beta * _omega2(u)
+        # eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8 of odd x, read mod 2
+        eps_u, eps_w = (u - 1) // 2, (w - 1) // 2
+        exp = eps_u * eps_w + alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if exp % 2 else 1
     sign = 1
     if alpha * beta * ((p - 1) // 2) % 2:

@@ -9,6 +9,7 @@ on mismatch, which serves as the library's built-in self test.
 
 from __future__ import annotations
 
+import json
 from typing import Union
 
 from .orders import FieldPass, IncompatibleIndexError
@@ -29,7 +30,7 @@ FieldLike = Union[int, ImagQuadField]
 
 SCHEMA_VERSION = "1.0"
 
-#: the paper's results behind every report, shared by every row
+#: the paper's results behind every report
 _PROVENANCE = (
     "existence-congruences",
     "order-type-symbol-criteria",
@@ -50,7 +51,11 @@ def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
     D3 needs p = 1 mod 3 for all p != 3 dividing d; T needs p = 1 or 3 mod 8
     for all odd p | d; maximal D2 needs p = 1 mod 4 for all odd p | d.
     """
-    primes = _field(d).primes
+    return _failing_primes(kind, _field(d))
+
+
+def _failing_primes(kind: SubgroupKind, k: ImagQuadField) -> list[int]:
+    primes = k.primes
     if kind is SubgroupKind.D3:
         return [p for p in primes if p != 3 and p % 3 != 1]
     if kind is SubgroupKind.T:
@@ -84,7 +89,11 @@ def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
     exists in some maximal order only for d != 3 mod 4 (and then the host
     is always split); otherwise NoHostOrderError is raised.
     """
-    d = _field(d).d
+    return _host_split(kind, _field(d))
+
+
+def _host_split(kind: SubgroupKind, k: ImagQuadField) -> bool:
+    d = k.d
     if kind is SubgroupKind.D3:
         return d % 3 != 2
     if kind is SubgroupKind.T:
@@ -106,7 +115,7 @@ def gamma(kind: SubgroupKind, d: FieldLike) -> int:
     of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8).
     """
     k = _field(d)
-    host = host_algebra_split(kind, k)  # raises for D2, d = 3 mod 4
+    host = _host_split(kind, k)  # raises for D2, d = 3 mod 4
     if kind is SubgroupKind.D3:
         t = len(k.discriminant_primes()) - (k.d % 3 == 0)
         doubles = not host and all(p % 12 in (1, 11) for p in k.primes if p != 2)
@@ -120,12 +129,18 @@ def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     """The same count along the independent embedding path: B1 / (group aut
     index), with B1 = 2 * C(group order) * [Aut : Inn of the maximal order]
     the norm-one conjugacy count of optimal embeddings; d may be a report's
-    ``FieldPass``. NoHostOrderError if no order is compatible (D2, d = 3 mod 4).
+    ``FieldPass``, and ValueError if that pass lacks the kind's algebra.
+    NoHostOrderError if no order is compatible (D2, d = 3 mod 4).
     """
     data = group_algebra(kind)
     F, lam = data.algebra, data.lambda_of_group_order
     fp = d if isinstance(d, FieldPass) else FieldPass(_field(d), (F,))
-    sk, aut = fp.counts[F.ramified]
+    try:
+        sk, aut = fp.counts[F.ramified]
+    except KeyError:
+        raise ValueError(
+            f"the field pass has no counts for {F}, the algebra of {kind.value}"
+        ) from None
     try:
         B1 = 2 * global_embedding_count(lam, F, fp.k, sk=sk, splits=fp.splits) * aut
     except IncompatibleIndexError as exc:
@@ -155,6 +170,7 @@ def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:
 
 
 _ALGEBRAS = tuple(dict.fromkeys(group_algebra(kind).algebra for kind in KINDS))
+_NAMED_KINDS = tuple((kind, kind.value) for kind in KINDS)
 
 
 def classify_report(d: FieldLike) -> dict:
@@ -163,20 +179,21 @@ def classify_report(d: FieldLike) -> dict:
     in PSL2(o), whether its host algebra is split and its conjugacy count
     (both None where no maximal order hosts it; the count computed by both
     paths and checked for equality), and its failing primes. The kinds share
-    one field pass."""
-    shared = FieldPass(_field(d), _ALGEBRAS)
+    one field pass, and d is resolved to its field once."""
+    k = _field(d)
+    shared = FieldPass(k, _ALGEBRAS)
     kinds = []
-    for kind in KINDS:
-        fails = failing_primes(kind, shared.k)
+    for kind, name in _NAMED_KINDS:
+        fails = _failing_primes(kind, k)
         try:
-            split = host_algebra_split(kind, shared.k)
+            split = _host_split(kind, k)
         except NoHostOrderError:
             split = count = None
         else:
             count = checked_gamma(kind, shared)
         kinds.append(
             {
-                "kind": kind.value,
+                "kind": name,
                 "exists": not fails,
                 "host_split": split,
                 "gamma": count,
@@ -185,7 +202,41 @@ def classify_report(d: FieldLike) -> dict:
         )
     return {
         "schema_version": SCHEMA_VERSION,
-        "d": shared.k.d,
+        "d": k.d,
         "kinds": kinds,
-        "provenance": {"paper_theorems": _PROVENANCE},
+        # a fresh list: the row equals what JSON reads back from it
+        "provenance": {"paper_theorems": list(_PROVENANCE)},
     }
+
+
+#: the row as ``json.dumps(row, sort_keys=True, separators=(",", ":"))``
+#: writes it: its fixed keys in sorted order, with the fields left open
+_ROW_TEMPLATE = '{"d":%%d,"kinds":[%%s],"provenance":%s,"schema_version":%s}' % (
+    json.dumps({"paper_theorems": _PROVENANCE}, separators=(",", ":")),
+    json.dumps(SCHEMA_VERSION),
+)
+_KIND_TEMPLATE = (
+    '{"exists":%s,"failing_primes":%s,"gamma":%s,"host_split":%s,"kind":"%s"}'
+)
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def dump_row(row: dict) -> str:
+    """The schema-1.0 row of ``classify_report`` as key-sorted compact JSON,
+    byte for byte what ``json.dumps(row, sort_keys=True, separators=(",",
+    ":"))`` writes, filled into the fixed template of the row."""
+    kinds = ",".join(
+        [
+            _KIND_TEMPLATE
+            % (
+                _LITERALS[entry["exists"]],
+                # a list of ints prints as JSON but for the blank after each comma
+                str(entry["failing_primes"]).replace(" ", ""),
+                "null" if entry["gamma"] is None else entry["gamma"],
+                _LITERALS[entry["host_split"]],
+                entry["kind"],
+            )
+            for entry in row["kinds"]
+        ]
+    )
+    return _ROW_TEMPLATE % (row["d"], kinds)

@@ -23,6 +23,7 @@ from .classify import (
     classify_report,
     contains_in_order,
     contains_in_psl2o,
+    dump_row,
     host_algebra_split,
     NoHostOrderError,
 )
@@ -118,7 +119,7 @@ def _render_report_table(report: dict) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     report = classify_report(args.d)
     if args.format == "json":
-        print(_dump(report))
+        print(dump_row(report))
     else:
         print(_render_report_table(report))
     return 0
@@ -155,7 +156,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for j, i in enumerate(chosen):
             totals[j] += report["kinds"][i]["exists"]
         if json_mode:
-            row = _dump(report)
+            row = dump_row(report)
             write(f",{row}" if n_rows else row)
         else:
             entries = [report["kinds"][i] for i in chosen]

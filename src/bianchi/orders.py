@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from math import gcd, isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import (
     INFINITY,
     Place,
+    _hilbert_symbol_at,
     _proven_place,
     factorize,
     hilbert_symbol,
@@ -48,14 +49,25 @@ def hilbert_character(
     A positive square m gives the trivial character, with no symbol
     evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
     primes of m and d, so only those places are evaluated; d's primes
-    are read from the field, and m's from ``primes`` if given.
+    are read from the field, and m's from ``primes`` if given. ValueError
+    if what is left of |m| once those are divided out is not a square.
     """
     if m > 0 and isqrt(m) ** 2 == m:
         return frozenset()
     if primes is None:
         primes = factorize(m).primes()
-    places = {INFINITY, *map(_proven_place, {2, *primes, *k.primes})}
-    return frozenset(v for v in places if hilbert_symbol(m, -k.d, v) == -1)
+    else:
+        rest = abs(m)
+        for p in primes:
+            rest //= p ** valuation(rest, p)
+        if isqrt(rest) ** 2 != rest:
+            raise ValueError(f"primes misses a prime of m={m}, which leaves {rest}")
+    minus_d = -k.d
+    return frozenset(
+        INFINITY if p is None else _proven_place(p)
+        for p in {None, 2, *primes, *k.primes}
+        if _hilbert_symbol_at(m, minus_d, p) == -1
+    )
 
 
 def _order_type(lam_M: int, F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
@@ -104,7 +116,7 @@ def compatible_order_exists(
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
-    if splits is not None and any(p not in splits for p in F.finite_ramified):
+    if splits is not None and not splits.keys() >= {*F.finite_ramified}:
         raise ValueError(f"splits misses a ramified prime of {F}")
     if sk is None:
         sk = sigma_k(F, k, splits=splits)
@@ -175,9 +187,9 @@ def joint_intersection_factor(
     return None
 
 
-@dataclass(frozen=True)
-class LocalCountQuery:
-    """Data of a local embedding-count question at a finite prime p.
+class LocalCountQuery(NamedTuple):
+    """Data of a local embedding-count question at a finite prime p, an
+    immutable tuple, which a report builds for each local factor.
 
     ``split_type`` is the behavior of p in k, ``algebra_split`` says whether
     the algebra splits at p, ``index_exponent`` is e with index p^e, and
@@ -271,8 +283,9 @@ def unit_character_divisors(
     caller that holds sk = sigma_k(F, k) may pass it."""
     if sk is None:
         sk = sigma_k(F, k)
+    if sk == 1:
+        return [1]  # 1 is a square: its character is trivial
     qs = _sigma_k_primes(F, sk)
-    # 1 is a square: its character is trivial, with nothing to evaluate
     return [1] + [
         f
         for f in _divisors_of_primes(qs)[1:]

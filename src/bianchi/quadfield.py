@@ -96,6 +96,8 @@ def is_ideal_norm(lam: int, k: ImagQuadField, *, splits: Splits | None = None) -
         splits = {p: splitting(k, p) for p in factorize(lam).primes()}
     rest, norm = lam, True
     for p, split in splits.items():
+        if rest == 1:
+            break  # lam is used up: every other prime has exponent 0
         e = valuation(rest, p)
         rest //= p**e
         norm = norm and not (e % 2 and split is SplitType.INERT)

@@ -29,6 +29,10 @@ class SubgroupKind(enum.Enum):
     T = "t"  # projective tetrahedral, isomorphic to A4
     D2MAX = "d2"  # maximal-finite 2-dihedral, isomorphic to V4
 
+    # members are singletons, so hash them by identity, in C, where Enum
+    # hashes each by its name in Python on every dict lookup
+    __hash__ = object.__hash__
+
 
 #: the kinds in the order of every report, scan row and listing
 KINDS = tuple(SubgroupKind)

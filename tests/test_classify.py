@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bianchi.arith import factorize, is_prime, is_squarefree
@@ -7,6 +9,7 @@ from bianchi.classify import (
     classify_report,
     contains_in_order,
     contains_in_psl2o,
+    dump_row,
     failing_primes,
     gamma,
     gamma_composed,
@@ -131,6 +134,62 @@ def test_classify_report_structure():
     assert d2["host_split"] is None and d2["gamma"] is None
     assert d2["failing_primes"] == [3]
     assert t["gamma"] == 2
+
+
+def _canonical(row):
+    return json.dumps(row, sort_keys=True, separators=(",", ":"))
+
+
+def test_dump_row_writes_what_json_dumps_writes_on_every_row_shape():
+    # d2 without a host at d = 3, 7; T with a division host at d = 7; D3
+    # with one at d = 5; several failing primes at 385 = 5*7*11; and the
+    # int64 d of the classify pin, the last a semiprime just below 2^63
+    ds = (1, 2, 3, 5, 7, 385, 10000000019, 4611686018427388039, 9223371873002223329)
+    shapes = set()
+    for d in ds:
+        row = classify_report(d)
+        assert dump_row(row) == _canonical(row), d
+        for e in row["kinds"]:
+            shapes.add((e["kind"], "gamma", e["gamma"] is not None))
+            shapes.add(("host_split", e["host_split"]))
+            shapes.add(("failing primes", min(len(e["failing_primes"]), 2)))
+    assert shapes == {
+        ("d3", "gamma", True),
+        ("t", "gamma", True),
+        ("d2", "gamma", True),
+        ("d2", "gamma", False),
+        ("host_split", True),
+        ("host_split", False),
+        ("host_split", None),
+        ("failing primes", 0),
+        ("failing primes", 1),
+        ("failing primes", 2),
+    }
+
+
+def test_dump_row_drops_nothing_of_the_row():
+    for d in range(1, 2001):
+        if is_squarefree(d):
+            row = classify_report(d)
+            assert json.loads(dump_row(row)) == row, d
+    # a key the row gains and the fixed template lacks shows as a difference
+    row = classify_report(5)
+    row["kinds"][0]["extra"] = 1
+    assert json.loads(dump_row(row)) != row
+
+
+def test_gamma_composed_names_the_algebra_a_partial_pass_lacks():
+    from bianchi.orders import FieldPass
+    from bianchi.quaternion import group_algebra
+
+    k = ImagQuadField(5)
+    fp = FieldPass(k, (group_algebra(SubgroupKind.D3).algebra,))
+    assert gamma_composed(SubgroupKind.D3, fp) == gamma(SubgroupKind.D3, k)
+    missing = r"no counts for QuaternionAlgebraQ\(\{2, oo\}\), the algebra of "
+    for kind in (SubgroupKind.T, SubgroupKind.D2MAX):
+        with pytest.raises(ValueError, match=missing + kind.value) as exc:
+            gamma_composed(kind, fp)
+        assert not isinstance(exc.value, NoHostOrderError)
 
 
 def test_classify_report_d5():

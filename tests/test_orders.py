@@ -171,6 +171,43 @@ def _is_norm(n, k):
     return not hilbert_character(n, k)
 
 
+def test_hilbert_character_rejects_primes_that_miss_a_prime_of_m():
+    k = make_field(1)
+    # (3, -1) is -1 at 2 and at 3; read from primes=[], 3 went unevaluated
+    # and the odd set {2} came back
+    assert hilbert_character(3, k) == {Place(2), Place(3)}
+    assert hilbert_character(3, k, primes=[3]) == {Place(2), Place(3)}
+    for m, primes in ((3, []), (-15, [3]), (30, [2, 5]), (18, [])):
+        with pytest.raises(ValueError, match="misses a prime of m"):
+            hilbert_character(m, k, primes=primes)
+    # a square cofactor is no missing prime: the symbol reads square classes
+    for m, primes in ((12, [3]), (-75, [3]), (-4, [])):
+        assert hilbert_character(m, k, primes=primes) == hilbert_character(m, k)
+
+
+def test_unit_character_divisors_evaluates_nothing_when_sigma_k_is_1(
+    record_calls,
+):
+    from bianchi import arith, orders
+
+    fields = [make_field(d) for d in SQUAREFREE]
+    trivial = [(F, k) for F in (FD3, FT) for k in fields if sigma_k(F, k) == 1]
+    assert trivial
+    calls = [
+        record_calls(fn)
+        for fn in (
+            arith._hilbert_symbol_at,
+            hilbert_symbol,
+            hilbert_character,
+            orders._divisors_of_primes,
+        )
+    ]
+    for F, k in trivial:
+        assert unit_character_divisors(F, k) == [1]
+        assert unit_character_divisors(F, k, sk=1) == [1]
+    assert calls == [[]] * 4
+
+
 def test_trivial_character_examples():
     assert _is_norm(1, make_field(1))
     assert not _is_norm(-1, make_field(1))
