@@ -10,8 +10,11 @@ target order of index p^r is O + O * Pi^r * Omega.
 
 Vertices of the tree at distance m from a base lattice class are the
 classes h*J*o^2 for J = (pi^a, b; 0, pi^c), a + c = m, b a residue mod
-pi^a, with J not divisible by pi. For each vertex the intersection of
-F(tau) with the attached maximal order is computed exactly, by solving the
+pi^a, with J not divisible by pi. A vertex can meet F(tau) in the target
+only if its maximal order contains the target, so each vertex is first
+tested for that: J^-1 Y J must be integral for the target's generators Y.
+Only the few vertices that pass are solved: the intersection of F(tau)
+with the attached maximal order is computed exactly, by solving the
 integrality conditions as linear congruences mod p^K, and compared with the
 target p-locally. Every computation is in integers, in the arithmetic of
 ``ring`` over Z[pi] with (s, t) = (0, -d): an element u + w*pi is the pair
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
+from typing import NamedTuple
 
 from ..arith import Place, hilbert_symbol, is_prime, kronecker, valuation
 from ..quadfield import ImagQuadField, SplitType, splitting
@@ -37,7 +41,8 @@ class PrecisionError(RuntimeError):
 
 #: The most tree vertices one count may visit. A count at index p^r visits
 #: the 1 + (p + 1)(p^(r+1) - 1)/(p - 1) vertices within distance r + 1, at
-#: about 0.15 ms each, so this keeps a count to a few seconds; it admits
+#: about 10 us each, since only the few whose order contains the target
+#: are solved, so this keeps a count to a fraction of a second; it admits
 #: every r in 0..3 for p <= 11.
 MAX_VERTICES = 2 * 10**4
 
@@ -241,12 +246,28 @@ def _disc_valuation(mats: list[RMat], d: int, p: int) -> int:
     return valuation(_det(gram), p) - 2 * sum(valuation(den, p) for _, den in mats)
 
 
-def _counts_at_precisions(
-    k: ImagQuadField, p: int, eps: int, r: int, precisions: tuple[int, ...]
-) -> list[int]:
-    """The vertex count at each working precision. The conjugations
-    J^-1 E_i J are computed once per vertex and shared; each precision
-    solves its own intersection lattice and compares it with the target."""
+def _conjugate(d: int, A_inv: Flat, X: Flat, A: Flat) -> Flat:
+    """A^-1 X A, with A^-1 given by its integer numerator."""
+    return _mmul(_mmul(A_inv, X, 0, -d), A, 0, -d)
+
+
+class _Frame(NamedTuple):
+    """One count's target and the F(tau) basis, conjugated by the base."""
+
+    #: base^-1 e_i base over L, for the _f_basis elements e_i
+    E: list[Flat]
+    #: base^-1 Y base with v_p of its denominator, for the generators
+    #: Y = Pi, Pi^r Om, Pi^(r+1) Om of the target over Z_p (1 is in every
+    #: vertex order)
+    gens: list[tuple[Flat, int]]
+    v_L: int
+    target: Lattice
+    volume: int
+
+
+def _frame(k: ImagQuadField, p: int, eps: int, r: int) -> _Frame:
+    """Build and check the maximal order of F(tau) and the target order of
+    index p^r in it, and conjugate both into the base vertex's frame."""
     d = k.d
     n = _smallest_nonresidue(p)
     if eps == 1:
@@ -280,11 +301,8 @@ def _counts_at_precisions(
     pows: list[RMat] = [(_scalar(1), 1)]
     for _ in range(r + 1):
         pows.append(_rmul(d, pows[-1], Pi))
-    target = _lattice(
-        [pows[0], Pi, _rmul(d, pows[r], Om), _rmul(d, pows[r + 1], Om)],
-        tau_star,
-        p,
-    )
+    gens = [Pi, _rmul(d, pows[r], Om), _rmul(d, pows[r + 1], Om)]
+    target = _lattice([pows[0], *gens], tau_star, p)
     if not _inside(target, _dual(fmax, p), p):
         raise PrecisionError("target order not inside the maximal order")
     # containment with index p^0 is equality, so r = 0 needs no other check
@@ -292,23 +310,57 @@ def _counts_at_precisions(
     if volume - _volume(fmax, p) != r:
         raise PrecisionError("target order has the wrong index")
 
-    # base^-1 X base, with the base's scalar denominator cancelled
+    # base^-1 X base with v_p of its denominator L * den; the base's own
+    # scalar denominator is cancelled
     base_inv, L = _minv(base, 0, -d)
-    for X, den in fmax_mats:
-        Y = _mmul(_mmul(base_inv, X, 0, -d), base, 0, -d)
-        mod = p ** valuation(L * den, p)
-        if any(co % mod for co in Y):
-            raise PrecisionError("maximal order not inside the base vertex")
 
-    # E_i = base^-1 e_i base over L; the vertex transition J conjugates it
-    E = [_mmul(_mmul(base_inv, X, 0, -d), base, 0, -d) for X in _f_basis(tau_star)]
-    v_L = valuation(L, p)
+    def in_base(mats: list[RMat]) -> list[tuple[Flat, int]]:
+        return [
+            (_conjugate(d, base_inv, X, base), valuation(L * den, p))
+            for X, den in mats
+        ]
+
+    one = _scalar(1)  # the transition matrix of the base vertex
+    if not _vertex_holds(in_base(fmax_mats), d, p, one, one, 0):
+        raise PrecisionError("maximal order not inside the base vertex")
+    E = [_conjugate(d, base_inv, X, base) for X in _f_basis(tau_star)]
+    return _Frame(E, in_base(gens), valuation(L, p), target, volume)
+
+
+def _vertex_holds(
+    gens: list[tuple[Flat, int]], d: int, p: int, J: Flat, J_inv: Flat, m: int
+) -> bool:
+    """Whether the vertex order J M2(o_p) J^-1, J at distance m, contains
+    each Y over a denominator of valuation v in gens: whether J^-1 Y J is
+    integral. J_inv is over d^m, whose v_p is m, so J^-1 Y J is over
+    p^(v + m) times a unit, and an entry u + w*pi is integral when
+    p^(v + m) divides u and w."""
+    for Y, v in gens:
+        mod = p ** (v + m)
+        if any(co % mod for co in _conjugate(d, J_inv, Y, J)):
+            return False
+    return True
+
+
+def _counts_at_precisions(
+    k: ImagQuadField, p: int, eps: int, r: int, precisions: tuple[int, ...]
+) -> list[int]:
+    """The vertex count at each working precision. A vertex whose order
+    does not contain the target cannot meet F(tau) in it, at any precision,
+    so only the vertices whose order holds the _Frame's gens are solved.
+    For those the conjugations J^-1 E_i J are computed once and shared;
+    each precision solves its own intersection lattice and compares it
+    with the target."""
+    d = k.d
+    E, gens, v_L, target, volume = _frame(k, p, eps, r)
     target_dual = _dual(target, p)
     counts = [0] * len(precisions)
     for a, c, b in enumerate_vertices(k, p, r + 1):
         J = _vertex_matrix(d, a, c, b)
         J_inv, _ = _minv(J, 0, -d)  # over d^m, and v_p(d^m) = m as p exactly divides d
-        conj = [_mmul(_mmul(J_inv, X, 0, -d), J, 0, -d) for X in E]
+        if not _vertex_holds(gens, d, p, J, J_inv, a + c):
+            continue
+        conj = [_conjugate(d, J_inv, X, J) for X in E]
         for i, K_prec in enumerate(precisions):
             lat, lat_volume = _intersection(conj, v_L + a + c, p, K_prec)
             if lat_volume == volume and _inside(lat, target_dual, p):

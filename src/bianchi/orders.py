@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from math import gcd, isqrt
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .arith import (
     INFINITY,
@@ -20,6 +20,7 @@ from .arith import (
     _proven_place,
     factorize,
     hilbert_symbol,
+    is_prime,
     squarefree_part,
     valuation,
 )
@@ -50,18 +51,29 @@ def hilbert_character(
     evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
     primes of m and d, so only those places are evaluated; d's primes
     are read from the field, and m's from ``primes`` if given. ValueError
-    if what is left of |m| once those are divided out is not a square.
+    if an entry of ``primes`` is not a prime, or if what is left of |m|
+    once they are divided out is not a square.
     """
+    if primes is not None:
+        rest = abs(m)
+        for p in primes:
+            if not is_prime(p):
+                raise ValueError(f"primes holds {p}, which is not a prime")
+            rest //= p ** valuation(rest, p)
+        if isqrt(rest) ** 2 != rest:
+            raise ValueError(f"primes misses a prime of m={m}, which leaves {rest}")
     if m > 0 and isqrt(m) ** 2 == m:
         return frozenset()
     if primes is None:
         primes = factorize(m).primes()
-    else:
-        rest = abs(m)
-        for p in primes:
-            rest //= p ** valuation(rest, p)
-        if isqrt(rest) ** 2 != rest:
-            raise ValueError(f"primes misses a prime of m={m}, which leaves {rest}")
+    return _hilbert_character(m, k, primes)
+
+
+def _hilbert_character(
+    m: int, k: ImagQuadField, primes: Iterable[int]
+) -> frozenset[Place]:
+    """hilbert_character of a non-square m, for primes already proven
+    prime that leave a square of |m|."""
     minus_d = -k.d
     return frozenset(
         INFINITY if p is None else _proven_place(p)
@@ -289,7 +301,7 @@ def unit_character_divisors(
     return [1] + [
         f
         for f in _divisors_of_primes(qs)[1:]
-        if not hilbert_character(f, k, primes=[q for q in qs if f % q == 0])
+        if not _hilbert_character(f, k, [q for q in qs if f % q == 0])
     ]
 
 

@@ -4,14 +4,24 @@ import random
 import pytest
 
 from bianchi.arith import Place, hilbert_symbol, valuation
+from bianchi.cli import main
+from bianchi.oracle import localtree
 from bianchi.oracle.localtree import (
     _congruence_lattice,
+    _conjugate,
     _counts_at_precisions,
     _det,
+    _dual,
+    _frame,
+    _inside,
+    _intersection,
     _smallest_nonresidue,
+    _vertex_holds,
+    _vertex_matrix,
     count_maximal_orders_local,
     enumerate_vertices,
 )
+from bianchi.oracle.ring import _minv
 from bianchi.orders import LocalCountQuery, local_embedding_count
 from bianchi.quadfield import ImagQuadField, SplitType
 
@@ -171,3 +181,86 @@ def test_counts_match_tables_at_p7():
                 LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
             )
             assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)
+
+
+def test_counts_match_tables_at_p11():
+    p, k = 11, ImagQuadField(11)
+    for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
+        for r in range(4):
+            expected = local_embedding_count(
+                LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
+            )
+            assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)
+
+
+def _full_ball(k, p, tau, r, precisions):
+    """The _frame of a count, and for every vertex within distance r + 1
+    whether it passes _vertex_holds and its intersection lattice solved at
+    each precision, whether it passes or not: the unfiltered reference."""
+    d = k.d
+    frame = _frame(k, p, hilbert_symbol(tau, -d, Place(p)), r)
+    vertices = []
+    for a, c, b in enumerate_vertices(k, p, r + 1):
+        J = _vertex_matrix(d, a, c, b)
+        J_inv, _ = _minv(J, 0, -d)
+        conj = [_conjugate(d, J_inv, X, J) for X in frame.E]
+        held = _vertex_holds(frame.gens, d, p, J, J_inv, a + c)
+        solved = [
+            _intersection(conj, frame.v_L + a + c, p, K_prec)
+            for K_prec in precisions
+        ]
+        vertices.append((held, solved))
+    return frame, vertices
+
+
+@pytest.mark.parametrize(
+    "p,d,r_max", [(3, 3, 3), (5, 5, 3), (3, 15, 3), (5, 10, 3), (7, 7, 2)]
+)
+def test_prefilter_keeps_the_counts_of_the_full_ball(p, d, r_max):
+    k = ImagQuadField(d)
+    for tau in (1, _smallest_nonresidue(p)):
+        for r in range(r_max + 1):
+            frame, vertices = _full_ball(k, p, tau, r, (r + 3, r + 4))
+            target_dual = _dual(frame.target, p)
+            counts = [
+                sum(
+                    volume == frame.volume and _inside(lat, target_dual, p)
+                    for lat, volume in (solved[i] for _, solved in vertices)
+                )
+                for i in range(2)
+            ]
+            assert counts[0] == counts[1], (tau, r)
+            assert counts[0] == count_maximal_orders_local(p, k, tau, r), (tau, r)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_prefilter_passes_exactly_where_the_lattice_holds_the_target(p):
+    k = ImagQuadField(p)
+    passed = 0
+    for tau in (1, _smallest_nonresidue(p)):
+        for r in range(4):
+            frame, vertices = _full_ball(k, p, tau, r, (r + 3,))
+            for held, [(lat, _)] in vertices:
+                assert held == _inside(frame.target, _dual(lat, p), p), (tau, r)
+                passed += held
+    # the filter is neither empty nor everything
+    assert 0 < passed < 2 * len(enumerate_vertices(k, p, 4))
+
+
+def test_verify_local_solves_each_passing_vertex_at_two_precisions(
+    capsys, monkeypatch
+):
+    solves = []
+
+    def recording(conj, scale, p, K_prec):
+        solves.append((tuple(conj), scale, K_prec))
+        return _intersection(conj, scale, p, K_prec)
+
+    monkeypatch.setattr(localtree, "_intersection", recording)
+    assert main(["verify", "--suite", "local"]) == 0
+    assert capsys.readouterr().out == "suite local: pass\n"
+    # the 16 counts visit 2,808 vertices; solving every one at K and K + 1
+    # would take 5,616 solves
+    assert len(solves) == 268
+    for first, second in zip(solves[::2], solves[1::2]):
+        assert first[:2] == second[:2] and second[2] == first[2] + 1

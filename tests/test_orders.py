@@ -185,6 +185,16 @@ def test_hilbert_character_rejects_primes_that_miss_a_prime_of_m():
         assert hilbert_character(m, k, primes=primes) == hilbert_character(m, k)
 
 
+def test_hilbert_character_rejects_primes_that_are_not_prime():
+    k = make_field(1)
+    # a composite entry leaves a square, so only a primality test sees it;
+    # read as a place it gave {2, 6} and {2, 15} for the characters {2, 3}
+    assert hilbert_character(6, k) == hilbert_character(15, k) == {Place(2), Place(3)}
+    for m, primes in ((6, [6]), (15, [15]), (15, [3, 5, 15]), (4, [1]), (-3, [-3])):
+        with pytest.raises(ValueError, match="not a prime"):
+            hilbert_character(m, k, primes=primes)
+
+
 def test_unit_character_divisors_evaluates_nothing_when_sigma_k_is_1(
     record_calls,
 ):
