@@ -1,7 +1,8 @@
 """Command line surface: classification reports, range scans, verification
 suites, and oracle runs, with machine-readable JSON output.
 
-Exit codes: 0 success, 1 verification or internal failure, 2 usage error.
+Exit codes: 0 success, 1 verification or internal failure, 2 usage error
+or, for the subgroup oracle and suite, numpy missing.
 JSON output is versioned ("1.0"), key-sorted, and byte-stable for a fixed
 input; the table renderings carry no stability contract.
 """
@@ -39,7 +40,7 @@ from .quaternion import (
 )
 from .oracle import PrecisionError, count_maximal_orders_local, find_subgroup
 from .oracle.localtree import _smallest_nonresidue
-from .oracle.subgroups import MAX_HEIGHT
+from .oracle.subgroups import MAX_HEIGHT, NumpyMissingError
 
 #: d per segment of the squarefree sieve, which bounds its memory at any dmax
 _SIEVE_SPAN = 1 << 12
@@ -457,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, NonSquarefreeError, ValueError) as exc:
+    except (UsageError, NonSquarefreeError, ValueError, NumpyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GammaMismatchError, PrecisionError) as exc:

@@ -16,6 +16,14 @@ which makes the pair scan a bilinear-form zero search. A 2-dihedral pair
 extends to a tetrahedral group through W = (1 - U - V - UV)/2; the group is
 a maximal finite 2-dihedral group exactly when W fails to be integral, and
 all eight choices of signs in W are integral or non-integral together.
+
+Both steps work on sigma-halves, sigma(A) = tr*I - A. sigma maps the
+matrices of each trace onto themselves without a fixed point, and the
+torsion tables keep only {A : A < sigma(A)}. For trace-0 V, sigma(V) = -V
+and trace(sigma(U)*V) = trace(U*sigma(V)) = -trace(U*V), and every pair
+with trace(U*V) = 0 and the parity of 2W its kind asks for passes the
+checks, so the lexicographically first witness has its U in the half: the
+search pairs half with half and expands each hit V of a U to +-V.
 """
 
 from __future__ import annotations
@@ -84,12 +92,35 @@ def _exact_ring(d: int, H: int) -> tuple[int, int]:
     return s, t
 
 
+class NumpyMissingError(ModuleNotFoundError):
+    """numpy, which this oracle and nothing else in the package needs,
+    cannot be imported."""
+
+
+def _numpy():
+    """The numpy module, imported here only, on the oracle's first use."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise NumpyMissingError(
+            f"the subgroup search needs numpy, which cannot be imported: {exc}"
+        ) from exc
+    return numpy
+
+
 # one entry: every caller asks for one (d, H) several times in a row, the
 # three kinds of one d, and a range of d never comes back to an earlier one
 @lru_cache(maxsize=1)
 def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trace-0 and trace-1 determinant-1 matrices within the box, each an
+    """The sigma-halves {A : A < sigma(A)}, sigma(A) = tr*I - A, of the
+    trace-0 and the trace-1 determinant-1 matrices within the box, each an
     int64 array of shape (n, 8) whose rows are in lexicographic order.
+
+    sigma maps these matrices onto themselves, as det(tr*I - A) = tr^2 -
+    tr*trace(A) + det(A) = 1, and sends (alpha, beta, gamma, delta) to
+    (delta, -beta, -gamma, alpha). It has no fixed point, so exactly one of
+    each pair lies in the half: the one with 2*alpha_x < tr, or 2*alpha_x =
+    tr and alpha_y < 0, or alpha = delta and beta < -beta.
 
     For each alpha and trace, delta is fixed and alpha*delta - beta*gamma = 1
     leaves gamma = n*conj(beta)/N(beta) with n = alpha*delta - 1, so one
@@ -98,24 +129,21 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
     division is staged: the x coordinate over the whole grid, the y
     coordinate only where the first is exact and within the box.
 
-    A -> tr*I - A maps these matrices onto themselves, as det(tr*I - A) =
-    tr^2 - tr*trace(A) + det(A) = 1, and sends (alpha, beta, gamma, delta)
-    to (delta, -beta, -gamma, alpha). It has no fixed point, so the pass
-    keeps only the lexicographically smaller (alpha, beta) of each pair,
-    which is the one with 2*alpha_x < tr, or 2*alpha_x = tr and alpha_y < 0,
-    or alpha = delta and beta < -beta, and adds each image.
+    tau: (alpha, beta, gamma, delta) -> (alpha, -beta, -gamma, delta) keeps
+    det, trace and the box and commutes with sigma, so the grid holds only
+    the beta > -beta, and each row found there adds its tau-image. Where
+    alpha = delta, the image, with beta < -beta, is the only one in the half.
     """
-    import numpy as np
-
+    np = _numpy()
     s, t = _ring_constants(d)
     side = np.arange(-H, H + 1, dtype=np.int64)
     box_x = np.repeat(side, len(side))
     box_y = np.tile(side, len(side))
-    nonzero = (box_x != 0) | (box_y != 0)
-    bx, by = box_x[nonzero], box_y[nonzero]
+    above = (box_x > 0) | ((box_x == 0) & (box_y > 0))  # beta > -beta
+    bx, by = box_x[above], box_y[above]
     cx, cy = bx + s * by, -by  # conj(beta), as conj(omega) = s - omega
     nb = bx * bx + s * bx * by - t * by * by  # N(beta) > 0
-    beta_above = (bx > 0) | ((bx == 0) & (by > 0))  # beta > -beta
+    tau = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=np.int64)
     step = max(1, _CHUNK // max(1, len(bx)))
     out = []
     for tr in (0, 1):
@@ -142,19 +170,15 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
             i += lo
             n_x, n_y, c_x, c_y = nx[i], ny[i], cx[j], cy[j]
             gy, ry = np.divmod(n_x * c_y + n_y * c_x + s * n_y * c_y, nb[j])
-            ok = (ry == 0) & (np.abs(gy) <= H) & ~(fixed[i] & beta_above[j])
+            ok = (ry == 0) & (np.abs(gy) <= H)
             i, j = i[ok], j[ok]
-            found.append(
-                np.stack(
-                    [ax[i], ay[i], bx[j], by[j], gx[ok], gy[ok], dx[i], dy[i]],
-                    axis=1,
-                )
+            rows = np.stack(
+                [ax[i], ay[i], bx[j], by[j], gx[ok], gy[ok], dx[i], dy[i]],
+                axis=1,
             )
-        rows = np.concatenate(found)
-        images = -rows
-        images[:, (0, 6)] += tr
-        both = np.concatenate((rows, images))
-        out.append(both[np.lexsort(both.T[::-1])])  # Python's tuple order
+            found += [rows[~fixed[i]], rows * tau]
+        half = np.concatenate(found)
+        out.append(half[np.lexsort(half.T[::-1])])  # Python's tuple order
         out[-1].setflags(write=False)  # shared through the cache
     return out[0], out[1]
 
@@ -163,10 +187,11 @@ def enumerate_torsion_elements(d: int, H: int) -> list[Flat]:
     """All A in SL2(o) with |x|, |y| <= H in every entry and trace in
     {0, +1, -1}, without duplicates, in lexicographic order."""
     _exact_ring(d, H)
-    import numpy as np
-
+    np = _numpy()
     t0, t1 = _torsion_flat(d, H)
-    rows = np.concatenate((t0, t1, -t1))  # traces 0, 1, -1: disjoint
+    s1 = -t1
+    s1[:, (0, 6)] += 1  # sigma(A) = I - A on trace 1, and sigma(A) = -A on 0
+    rows = np.concatenate((t0, -t0, t1, s1, -t1, -s1))  # all disjoint
     return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
@@ -174,18 +199,26 @@ def _candidate_pairs(
     d: int, H: int, trace: int, integral: Optional[bool] = None
 ) -> Iterator[tuple[Flat, Flat]]:
     """Pairs (U, V) with trace(U) = trace, trace(V) = 0 and trace(U*V) = 0,
-    in lexicographic order.
+    U in the sigma-half of its table, in lexicographic order.
+
+    The search multiplies half by half. For a trace-0 V, sigma(V) = -V, so
+    trace(sigma(U)*V) = trace(U*sigma(V)) = -trace(U*V): the pairs are
+    closed under U -> sigma(U) and V -> -V, the parity of 2*W below is the
+    same on each such orbit, and so the lexicographically first pair has U
+    in the half. Each U of the half yields its hits V and their negatives,
+    sorted.
 
     The two coordinates of trace(U*V) are vec(U).M.vec(V) for two 8x8
     integer forms M, evaluated on a float64 copy within the bound of
-    _exact_ring. With integral given, only the pairs whose W = (1 - U - V -
-    UV)/2 is, or is not, integral are kept: the parity of 2W is evaluated on
-    the int64 entries and ring constants mod 2, which leave it unchanged.
+    _exact_ring: the x coordinate as one product of a block of U with every
+    V, the y coordinate only where the x coordinate is 0. With integral
+    given, only the pairs whose W = (1 - U - V - UV)/2 is, or is not,
+    integral are kept: the parity of 2W is evaluated on the int64 entries
+    and ring constants mod 2, which leave it unchanged.
     """
+    np = _numpy()
     tables = _torsion_flat(d, H)
     left, right = tables[trace], tables[0]
-    import numpy as np
-
     s, t = _ring_constants(d)
     Mx, My = np.zeros((8, 8)), np.zeros((8, 8))
     # trace(UV) = aU*aV + bU*cV + cU*bV + dU*dV, entry slots (a,b,c,d)=(0,2,4,6)
@@ -197,18 +230,23 @@ def _candidate_pairs(
         My[i + 1][j + 1] += s
     A, B = left.astype(np.float64), right.astype(np.float64)
     BxT = (B @ Mx.T).T
-    ByT = (B @ My.T).T
+    By = B @ My.T
     chunk = max(1, _CHUNK // max(1, len(right)))
     for lo in range(0, len(A), chunk):
-        blk = A[lo : lo + chunk]
-        i, j = np.nonzero(((blk @ BxT) == 0.0) & ((blk @ ByT) == 0.0))
+        i, j = np.nonzero((A[lo : lo + chunk] @ BxT) == 0.0)
         i += lo
+        y_zero = np.einsum("ij,ij->i", A[i], By[j]) == 0.0
+        i, j = i[y_zero], j[y_zero]
         if integral is not None:
             U, V = tuple((left[i] & 1).T), tuple((right[j] & 1).T)
             _, even = _half_extension(U, V, s & 1, t & 1)
             i, j = i[even == integral], j[even == integral]
-        for a, b in zip(i.tolist(), j.tolist()):
-            yield tuple(left[a].tolist()), tuple(right[b].tolist())
+        firsts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()  # i ascends
+        for a, b in zip(firsts, firsts[1:] + [len(i)]):
+            U = tuple(left[i[a]].tolist())
+            Vs = np.concatenate((right[j[a:b]], -right[j[a:b]]))
+            for V in Vs[np.lexsort(Vs.T[::-1])].tolist():
+                yield U, tuple(V)
 
 
 def _half_extension(U: Flat, V: Flat, s: int, t: int) -> tuple[Flat, bool]:

@@ -392,6 +392,25 @@ def test_importing_the_cli_does_not_load_numpy(run_python):
     assert done.stdout.strip() == "False", done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "subgroups"], ["oracle", "subgroups", "--d", "1"]],
+)
+def test_subgroup_commands_without_numpy_exit_2_naming_it(run_python, argv):
+    # a missing dependency is not a failed verification: exit 2, one line
+    code = f"""
+import sys
+sys.modules["numpy"] = None
+import bianchi.cli as cli
+
+sys.exit(cli.main({argv!r}))
+"""
+    done = run_python(code)
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert done.stderr.startswith("error: the subgroup search needs numpy")
+    assert done.stderr.count("\n") == 1
+
+
 def test_importing_the_cli_defers_the_pool_and_fractions(run_python):
     # a range command runs in the calling process: after a scan and a range
     # suite, no process pool has been imported

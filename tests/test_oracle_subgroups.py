@@ -10,10 +10,14 @@ from bianchi.oracle.ring import _mdet, _mmul, _mtrace, _omul, _ring_constants
 from bianchi.oracle.subgroups import (
     MAX_HEIGHT,
     SubgroupWitness,
+    _candidate_pairs,
     _check_d2_pair,
     _check_d3,
     _exact_ring,
+    _half_extension,
+    _mneg,
     _torsion_flat,
+    _witness,
     enumerate_torsion_elements,
     find_subgroup,
     verify_witness,
@@ -67,9 +71,15 @@ def _loop_torsion(d, H):
     return tuple(sorted(out[0])), tuple(sorted(out[1]))
 
 
-def _torsion_tuples(d, H):
-    """The two int64 tables of _torsion_flat(d, H) as tuples of row tuples."""
-    return tuple(tuple(map(tuple, table.tolist())) for table in _torsion_flat(d, H))
+def _sigma(flats, tr):
+    """tr*I - A of each A: (alpha, beta, gamma, delta) -> (delta, -beta,
+    -gamma, alpha), as delta = tr - alpha."""
+    return [(*m[6:8], *(-x for x in m[2:6]), *m[0:2]) for m in flats]
+
+
+def _torsion_halves(d, H):
+    """The two int64 tables of _torsion_flat(d, H) as lists of row tuples."""
+    return [list(map(tuple, table.tolist())) for table in _torsion_flat(d, H)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 30, 1019, LARGEST_ADMITTED_D])
@@ -80,17 +90,22 @@ def test_torsion_pass_matches_the_loops(d):
         for table in _torsion_flat(d, H):
             assert table.dtype.name == "int64" and table.shape[1:] == (8,), H
             assert not table.flags.writeable, H  # the cache's one copy
-        assert _torsion_tuples(d, H) == _loop_torsion(d, H), H
+        loops = _loop_torsion(d, H)
+        for tr, half, full in zip((0, 1), _torsion_halves(d, H), loops):
+            assert tuple(sorted(half + _sigma(half, tr))) == full, (tr, H)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 19, LARGEST_ADMITTED_D])
 def test_torsion_sets_are_closed_under_tr_minus_a(d):
-    # A -> tr*I - A: (alpha, beta, gamma, delta) -> (delta, -beta, -gamma, alpha)
+    # A -> tr*I - A maps the full sets onto themselves without a fixed
+    # point, and the cache keeps the smaller of each pair, in order
     for H in (1, 2, 6, 10):
-        for tr, flats in zip((0, 1), _torsion_tuples(d, H)):
-            images = [(*m[6:8], *(-x for x in m[2:6]), *m[0:2]) for m in flats]
-            assert sorted(images) == list(flats), (tr, H)
-            assert all(m != img for m, img in zip(flats, images))
+        loops = _loop_torsion(d, H)
+        for tr, half, full in zip((0, 1), _torsion_halves(d, H), loops):
+            images = _sigma(full, tr)
+            assert sorted(images) == list(full), (tr, H)
+            assert all(m != img for m, img in zip(full, images))
+            assert half == [m for m, img in zip(full, images) if m < img]
 
 
 def test_enumeration_examples_d1():
@@ -218,6 +233,69 @@ def _loop_search(kind, d, H):
 def test_search_matches_the_plain_loops(d):
     for kind in KINDS:
         assert find_subgroup(kind, d, 3) == _loop_search(kind, d, 3), kind
+
+
+def test_the_half_search_loses_no_pair():
+    # the search multiplies sigma-halves only: every pair with trace(UV) = 0
+    # stands for (sigma(U), V), (U, -V) and (sigma(U), -V), which have
+    # trace(UV) = 0 too, the same integral W when trace(U) = 0, and pass
+    # the checks of their kind as (U, V) does; and it yields, in order, the
+    # pairs of the plain loops whose U lies in the half
+    n_pairs = 0
+    for d in (d for d in range(1, 31) if is_squarefree(d)):
+        s, t = _ring_constants(d)
+        t0, t1 = _loop_torsion(d, 3)
+        for tr, lefts in ((0, t0), (1, t1)):
+            halves = {None: [], True: [], False: []}  # by integral W
+            for U, sU in zip(lefts, _sigma(lefts, tr)):
+                for V in t0:
+                    if _mtrace(_mmul(U, V, s, t)) != (0, 0):
+                        continue
+                    n_pairs += 1
+                    orbit = ((U, V), (sU, V), (U, _mneg(V)), (sU, _mneg(V)))
+                    for A, B in orbit:
+                        assert _mtrace(_mmul(A, B, s, t)) == (0, 0), (d, A, B)
+                    integral = {_half_extension(A, B, s, t)[1] for A, B in orbit}
+                    if tr == 1:
+                        kind = SubgroupKind.D3
+                    elif integral == {True}:
+                        kind = SubgroupKind.T
+                    else:
+                        assert integral == {False}, (d, U, V)
+                        kind = SubgroupKind.D2MAX
+                    for A, B in orbit:
+                        assert _witness(kind, A, B, s, t) is not None, (d, A, B)
+                    if U < sU:
+                        halves[None].append((U, V))
+                        halves[kind is SubgroupKind.T].append((U, V))
+            for integral in (None, True, False) if tr == 0 else (None,):
+                got = list(_candidate_pairs(d, 3, tr, integral))
+                assert got == halves[integral], (d, tr, integral)
+    assert n_pairs == 4900  # from d in {1, 2, 3, 5, 6, 7, 10, 11, 19} only
+
+
+def test_search_digest_is_pinned():
+    # the first witness of each kind, as the full-table search found it, for
+    # the suite's whole input at its default height and for the densest
+    # tables at the largest height
+    for ds, H, digest in (
+        (
+            [d for d in range(1, 31) if is_squarefree(d)],
+            10,
+            "975394093ecdc3ce7b01d4186e22ba3e8093d66ead95b587266ff788241f4d79",
+        ),
+        (
+            [1, 3],
+            16,
+            "6e035412463648e237afbd24696b03e02e86ff60eecf549c66ca4c8b9b79441b",
+        ),
+    ):
+        h = hashlib.sha256()
+        for d in ds:
+            for kind in KINDS:
+                w = find_subgroup(kind, d, H)
+                h.update(repr((d, kind.value, w and w.generators)).encode())
+        assert h.hexdigest() == digest, H
 
 
 def test_oracle_output_digest_is_pinned(capsys):
