@@ -4,13 +4,16 @@ Everything here is pure and exact. Inputs are ordinary Python integers; a
 Hilbert symbol takes two nonzero integers, which stand for their square
 classes.
 
-``is_prime`` is the Miller-Rabin test with the first twelve primes as
-witnesses, which is deterministic for every n < 3.18e23 and so for all of
-int64. ``factorize`` trial-divides by 2, 3 and 6k +- 1 up to
-``_TRIAL_BOUND``; a cofactor below ``_TRIAL_BOUND**2`` (2^20) is then 1 or a
-prime, and a larger one is split with Pollard's rho in Brent's variant, every
-prime it reports proven with ``is_prime``. Nothing is random: rho walks a
-fixed sequence of maps x -> x^2 + c.
+``is_prime`` is the Miller-Rabin test with the first k primes as witnesses,
+k chosen by the size of n: the first k primes admit no strong pseudoprime
+below psi_k (Jaeschke 1993, Sorenson and Webster 2017), so four witnesses
+decide every n < 3.2e9 and twelve every n < 3.18e23, all of int64 included.
+``factorize`` finds the primes below ``_TRIAL_BOUND`` that divide n from one
+gcd with their product and divides out only those; the cofactor below
+``_TRIAL_BOUND**2`` (2^20) is then 1 or a prime, and a larger one is split
+with Pollard's rho in Brent's variant, every prime it reports proven with
+``is_prime``. Nothing is random: rho walks a fixed sequence of maps
+x -> x^2 + c.
 """
 
 from __future__ import annotations
@@ -18,22 +21,56 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import count
-from math import gcd
+from math import gcd, isqrt, prod
 
 #: Largest |n| that ``factorize`` and ``is_prime`` accept: the 64-bit signed
 #: range of the CLI's ``d``. Rho factors any such n in well under a second.
 INT64_MAX = 2**63 - 1
 
-#: ``factorize`` trial-divides by the primes below this bound, which decides
-#: every cofactor below its square.
+#: ``factorize`` divides out the primes below this bound, which decides every
+#: cofactor below its square.
 _TRIAL_BOUND = 2**10
 
-#: The first twelve primes: as Miller-Rabin witnesses they admit no strong
-#: pseudoprime below 318665857834031151167461 (Sorenson and Webster 2017).
+#: The first twelve primes, which are the Miller-Rabin witnesses.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+#: (psi_k, the first k primes): psi_k is the least odd composite that is a
+#: strong pseudoprime to each of the first k primes (Jaeschke 1993 for
+#: k <= 8, Sorenson and Webster 2017 for k = 9..12), so those k witnesses
+#: decide every n < psi_k. psi_8 = psi_7 and psi_10 = psi_11 = psi_9; the
+#: last bound exceeds INT64_MAX.
+_WITNESS_TIERS = tuple(
+    (psi, _WITNESSES[:k])
+    for psi, k in (
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+        (318665857834031151167461, 12),
+    )
+)
 
 #: Rho steps whose differences share one gcd.
 _RHO_BATCH = 128
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+#: The 172 primes below _TRIAL_BOUND, and their product, whose gcd with n
+#: holds the primes of n that ``factorize`` divides out.
+_SMALL_PRIMES = tuple(_primes_upto(_TRIAL_BOUND - 1))
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -85,8 +122,9 @@ class Factorization:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n <= INT64_MAX: Miller-Rabin with the
-    twelve witnesses, after dividing by them."""
+    """Deterministic primality for n <= INT64_MAX: after dividing by the
+    twelve witnesses, Miller-Rabin with the first k of them, the fewest
+    that ``_WITNESS_TIERS`` proves exact for n."""
     if n > INT64_MAX:
         raise ValueError(f"n exceeds 2**63-1: {n}")
     if n < 2:
@@ -95,9 +133,12 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     # n >= 41 now, so every witness is a unit mod n
+    for psi, bases in _WITNESS_TIERS:
+        if n < psi:
+            break
     s = ((n - 1) & (1 - n)).bit_length() - 1
     odd = (n - 1) >> s
-    for a in _WITNESSES:
+    for a in bases:
         x = pow(a, odd, n)
         if x == 1 or x == n - 1:
             continue
@@ -154,8 +195,9 @@ def _large_factors(m: int) -> list[tuple[int, int]]:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero 64-bit integer: trial division up to _TRIAL_BOUND,
-    then Brent's rho on a cofactor that trial division has not decided."""
+    """Factor a nonzero 64-bit integer: divide out the primes below
+    _TRIAL_BOUND that its gcd with their product holds, then split a
+    cofactor of 2^20 or more with Brent's rho."""
     if n == 0:
         raise ValueError("cannot factor 0")
     if abs(n) > INT64_MAX:
@@ -163,26 +205,24 @@ def factorize(n: int) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     factors: list[tuple[int, int]] = []
-    for p in (2, 3):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-    # remaining factors are >= 5; wheel over 6k+-1
-    f = 5
-    while f <= _TRIAL_BOUND and f * f <= m:
-        for q in (f, f + 2):
-            if m % q == 0:
-                e = 0
-                while m % q == 0:
-                    m //= q
-                    e += 1
-                factors.append((q, e))
-        f += 6
-    # every prime below f is divided out, so m < f*f is 1 or a prime
-    if f * f <= m:
+    g = gcd(m, _SMALL_PRIMORIAL)
+    for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if p * p > g:
+            # g holds no prime below p, so it is one prime
+            p = g
+        elif g % p:
+            continue
+        g //= p
+        m //= p
+        e = 1
+        while m % p == 0:
+            m //= p
+            e += 1
+        factors.append((p, e))
+    # m has no prime below _TRIAL_BOUND, so below its square m is 1 or a prime
+    if m >= _TRIAL_BOUND * _TRIAL_BOUND:
         factors += _large_factors(m)
     elif m > 1:
         factors.append((m, 1))

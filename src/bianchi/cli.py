@@ -16,7 +16,7 @@ from functools import cache, partial
 from math import isqrt
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .arith import factorize, hilbert_symbol
+from .arith import _primes_upto, factorize, hilbert_symbol
 from .classify import (
     SCHEMA_VERSION,
     GammaMismatchError,
@@ -63,15 +63,6 @@ def _check_height(height: Optional[int]) -> None:
     """None stands for the default height."""
     if height is not None and not 1 <= height <= MAX_HEIGHT:
         raise UsageError(f"--height must lie in 1..{MAX_HEIGHT}")
-
-
-def _primes_upto(n: int) -> list[int]:
-    """The primes <= n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if sieve[p]]
 
 
 def _squarefree_range(lo: int, hi: int) -> Iterator[ImagQuadField]:

@@ -1,11 +1,17 @@
-from math import prod
+import random
+from itertools import count, islice
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchi.arith import (
+    _WITNESS_TIERS,
+    _WITNESSES,
+    _primes_upto,
     INFINITY,
+    INT64_MAX,
     Factorization,
     Place,
     factorize,
@@ -16,7 +22,7 @@ from bianchi.arith import (
     squarefree_part,
 )
 from solver_oracle import hilbert_symbol_by_search
-from trial_division import trial_factorize, trial_is_prime
+from trial_division import is_strong_probable_prime, trial_factorize, trial_is_prime
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0)
 small_nonzero = st.integers(min_value=-300, max_value=300).filter(lambda n: n != 0)
@@ -121,6 +127,87 @@ def test_pseudoprimes_are_composite(n):
     assert factorize(n) == trial_factorize(n)
 
 
+def _first_primes(k):
+    return tuple(islice(filter(trial_is_prime, count(2)), k))
+
+
+# psi_k, the least odd composite that is a strong pseudoprime to each of the
+# first k primes (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2017)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+}
+
+
+def test_witness_tiers_are_the_distinct_psi_k():
+    # a tier ends at its own psi_k with the fewest k that reach it, so a k is
+    # left out only where psi_k equals psi_(k-1)
+    assert [(psi, len(bases)) for psi, bases in _WITNESS_TIERS] == [
+        (psi, min(k for k in PSI if PSI[k] == psi)) for psi in sorted(set(PSI.values()))
+    ]
+    assert _WITNESS_TIERS[-2][0] <= INT64_MAX < _WITNESS_TIERS[-1][0]
+
+
+@pytest.mark.parametrize("psi, bases", _WITNESS_TIERS)
+def test_each_tier_bound_is_a_composite_strong_pseudoprime_to_its_bases(psi, bases):
+    assert bases == _first_primes(len(bases))
+    assert all(is_strong_probable_prime(psi, a) for a in bases)
+    if psi > INT64_MAX:
+        # psi_12 = 399165290221 * 798330580441 lies past every input
+        assert psi == 399165290221 * 798330580441
+        return
+    fac = trial_factorize(psi)
+    assert sum(e for _, e in fac.factors) > 1
+    assert not is_prime(psi)
+    assert factorize(psi) == fac
+
+
+def test_is_prime_matches_a_sieve_past_the_second_tier():
+    # every n below psi_2 = 1373653 is decided by the first two tiers
+    n = 1_400_000
+    assert _WITNESS_TIERS[1][0] < n
+    primes = set(_primes_upto(n))
+    assert [m for m in range(n + 1) if is_prime(m) != (m in primes)] == []
+
+
+def _twelve_witness_reference(n):
+    if any(n % p == 0 for p in _WITNESSES):
+        return n in _WITNESSES
+    return all(is_strong_probable_prime(n, a) for a in _WITNESSES)
+
+
+def test_is_prime_matches_twelve_witnesses_in_every_tier():
+    # seeded n of each tier psi_(k-1) <= n < psi_k on which Miller-Rabin
+    # runs: odd n prime to the witnesses, and products of two such n
+    rng = random.Random(19)
+    lo = 41
+    for psi, _ in _WITNESS_TIERS:
+        hi = min(psi, INT64_MAX)
+        odd = (rng.randrange(lo, hi) | 1 for _ in range(2000))
+        coprime = [n for n in odd if n < hi and all(n % p for p in _WITNESSES)]
+        products = []
+        for _ in range(500):
+            a = rng.randrange(41, isqrt(hi)) | 1
+            b = rng.randrange(max(a, lo // a + 1), hi // a + 1) | 1
+            products.append(a * b)
+        checked = [n for n in coprime + products if lo <= n < hi]
+        assert len(checked) > 500
+        assert sum(map(is_prime, checked)) > 50
+        for n in checked:
+            assert is_prime(n) == _twelve_witness_reference(n), n
+        lo = psi
+
+
 def test_largest_int64_prime():
     n = 2**63 - 25
     # Lucas's test: some a has order n - 1 mod n. The primes of n - 1 come
@@ -137,6 +224,25 @@ def test_largest_int64_prime():
     for m in range(n + 2, 2**63, 2):
         assert not is_prime(m)
         assert any(m % p == 0 for p in range(3, 200, 2))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        1021,  # the largest prime below the trial-division bound 2^10
+        1031,  # the smallest prime above it
+        1021**2,
+        1021 * 1031,
+        1031**2,
+        1031 * 1033,
+        2**20 - 1,
+        2**20 + 1,
+        614889782588491410,  # the product of the first 15 primes
+        -614889782588491410,
+    ],
+)
+def test_factorize_at_the_trial_division_bound(n):
+    assert factorize(n) == trial_factorize(n)
 
 
 def test_is_prime_rejects_overflow():
