@@ -22,15 +22,16 @@ matrices of each trace onto themselves without a fixed point, and the
 torsion tables keep only {A : A < sigma(A)}. For trace-0 V, sigma(V) = -V
 and trace(sigma(U)*V) = trace(U*sigma(V)) = -trace(U*V), and every pair
 with trace(U*V) = 0 and the parity of 2W its kind asks for passes the
-checks, so the lexicographically first witness has its U in the half: the
-search pairs half with half and expands each hit V of a U to +-V.
+checks, so the lexicographically first witness has its U in the half, and
+its V too, as each V of the trace-0 half precedes -V: the search pairs
+half with half and takes the first hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..quadfield import ImagQuadField  # validates d squarefree
 from ..quaternion import SubgroupKind
@@ -195,18 +196,18 @@ def enumerate_torsion_elements(d: int, H: int) -> list[Flat]:
     return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
-def _candidate_pairs(
+def _first_pair(
     d: int, H: int, trace: int, integral: Optional[bool] = None
-) -> Iterator[tuple[Flat, Flat]]:
-    """Pairs (U, V) with trace(U) = trace, trace(V) = 0 and trace(U*V) = 0,
-    U in the sigma-half of its table, in lexicographic order.
+) -> Optional[tuple[Flat, Flat]]:
+    """The lexicographically first pair (U, V) with trace(U) = trace,
+    trace(V) = 0 and trace(U*V) = 0, or None.
 
-    The search multiplies half by half. For a trace-0 V, sigma(V) = -V, so
-    trace(sigma(U)*V) = trace(U*sigma(V)) = -trace(U*V): the pairs are
-    closed under U -> sigma(U) and V -> -V, the parity of 2*W below is the
-    same on each such orbit, and so the lexicographically first pair has U
-    in the half. Each U of the half yields its hits V and their negatives,
-    sorted.
+    The search multiplies half by half and takes the row-major first hit.
+    For a trace-0 V, sigma(V) = -V, so trace(sigma(U)*V) = trace(U*sigma(V))
+    = -trace(U*V): the pairs are closed under U -> sigma(U) and V -> -V,
+    and the parity of 2*W below is the same on each such orbit. So the
+    first pair has U in the half, and V too: the first nonzero coordinate
+    of each V of the trace-0 half is negative, so V precedes -V.
 
     The two coordinates of trace(U*V) are vec(U).M.vec(V) for two 8x8
     integer forms M, evaluated on a float64 copy within the bound of
@@ -233,7 +234,7 @@ def _candidate_pairs(
     By = B @ My.T
     chunk = max(1, _CHUNK // max(1, len(right)))
     for lo in range(0, len(A), chunk):
-        i, j = np.nonzero((A[lo : lo + chunk] @ BxT) == 0.0)
+        i, j = np.nonzero((A[lo : lo + chunk] @ BxT) == 0.0)  # row-major
         i += lo
         y_zero = np.einsum("ij,ij->i", A[i], By[j]) == 0.0
         i, j = i[y_zero], j[y_zero]
@@ -241,12 +242,9 @@ def _candidate_pairs(
             U, V = tuple((left[i] & 1).T), tuple((right[j] & 1).T)
             _, even = _half_extension(U, V, s & 1, t & 1)
             i, j = i[even == integral], j[even == integral]
-        firsts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()  # i ascends
-        for a, b in zip(firsts, firsts[1:] + [len(i)]):
-            U = tuple(left[i[a]].tolist())
-            Vs = np.concatenate((right[j[a:b]], -right[j[a:b]]))
-            for V in Vs[np.lexsort(Vs.T[::-1])].tolist():
-                yield U, tuple(V)
+        if len(i):
+            return tuple(left[i[0]].tolist()), tuple(right[j[0]].tolist())
+    return None
 
 
 def _half_extension(U: Flat, V: Flat, s: int, t: int) -> tuple[Flat, bool]:
@@ -318,19 +316,25 @@ def _witness(
 def find_subgroup(
     kind: SubgroupKind, d: int, H: int
 ) -> Optional[SubgroupWitness]:
-    """First witness, in lexicographic candidate order, of the group type
+    """First witness, in lexicographic order of (U, V), of the group type
     among height-bounded matrices; None when the bounded search is exhausted.
+    The first pair that passes the filters of the search passes the checks
+    of its kind, or AssertionError.
 
     Absence is a value, not an error: the bound H caps the search, so None
     only certifies nonexistence within the box.
     """
     s, t = _exact_ring(d, H)
     if kind is SubgroupKind.D3:
-        pairs = _candidate_pairs(d, H, 1)
+        pair = _first_pair(d, H, 1)
     else:
-        pairs = _candidate_pairs(d, H, 0, kind is SubgroupKind.T)
-    witnesses = (_witness(kind, U, V, s, t) for U, V in pairs)
-    return next((w for w in witnesses if w is not None), None)
+        pair = _first_pair(d, H, 0, kind is SubgroupKind.T)
+    if pair is None:
+        return None
+    witness = _witness(kind, *pair, s, t)
+    if witness is None:
+        raise AssertionError("every filtered pair must pass the checks of its kind")
+    return witness
 
 
 def verify_witness(witness: SubgroupWitness, d: int) -> bool:

