@@ -129,18 +129,12 @@ def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     """The same count along the independent embedding path: B1 / (group aut
     index), with B1 = 2 * C(group order) * [Aut : Inn of the maximal order]
     the norm-one conjugacy count of optimal embeddings; d may be a report's
-    ``FieldPass``, and ValueError if that pass lacks the kind's algebra.
-    NoHostOrderError if no order is compatible (D2, d = 3 mod 4).
+    ``FieldPass``. NoHostOrderError if no order is compatible (D2, d = 3 mod 4).
     """
     data = group_algebra(kind)
     F, lam = data.algebra, data.lambda_of_group_order
-    fp = d if isinstance(d, FieldPass) else FieldPass(_field(d), (F,))
-    try:
-        sk, aut = fp.counts[F.ramified]
-    except KeyError:
-        raise ValueError(
-            f"the field pass has no counts for {F}, the algebra of {kind.value}"
-        ) from None
+    fp = d if isinstance(d, FieldPass) else FieldPass(_field(d))
+    sk, aut = fp.counts[F.ramified]
     try:
         B1 = 2 * global_embedding_count(lam, F, fp.k, sk=sk, splits=fp.splits) * aut
     except IncompatibleIndexError as exc:
@@ -169,7 +163,6 @@ def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:
     return closed
 
 
-_ALGEBRAS = tuple(dict.fromkeys(group_algebra(kind).algebra for kind in KINDS))
 _NAMED_KINDS = tuple((kind, kind.value) for kind in KINDS)
 
 
@@ -181,7 +174,7 @@ def classify_report(d: FieldLike) -> dict:
     paths and checked for equality), and its failing primes. The kinds share
     one field pass, and d is resolved to its field once."""
     k = _field(d)
-    shared = FieldPass(k, _ALGEBRAS)
+    shared = FieldPass(k)
     kinds = []
     for kind, name in _NAMED_KINDS:
         fails = _failing_primes(kind, k)

@@ -28,7 +28,7 @@ from .classify import (
     host_algebra_split,
     NoHostOrderError,
 )
-from .orders import ramified_pairing_rank, unit_character_divisors
+from .orders import FieldPass, ramified_pairing_rank, unit_character_divisors
 from .quadfield import ImagQuadField, NonSquarefreeError
 from .quaternion import (
     KINDS,
@@ -38,9 +38,12 @@ from .quaternion import (
     group_algebra,
     sigma_k,
 )
-from .oracle import PrecisionError, count_maximal_orders_local, find_subgroup
-from .oracle.localtree import _smallest_nonresidue
-from .oracle.subgroups import MAX_HEIGHT, NumpyMissingError
+from .oracle.localtree import (
+    PrecisionError,
+    _smallest_nonresidue,
+    count_maximal_orders_local,
+)
+from .oracle.subgroups import MAX_HEIGHT, NumpyMissingError, find_subgroup
 
 #: d per segment of the squarefree sieve, which bounds its memory at any dmax
 _SIEVE_SPAN = 1 << 12
@@ -223,10 +226,11 @@ def _existence_failures_at(k: ImagQuadField) -> list[str]:
 
 
 def _gamma_failures_at(k: ImagQuadField) -> list[str]:
+    shared = FieldPass(k)
     failures = []
     for kind in KINDS:
         try:
-            checked_gamma(kind, k)
+            checked_gamma(kind, shared)
         except NoHostOrderError:
             continue
         except GammaMismatchError as exc:

@@ -8,19 +8,5 @@ through ``ring``, the one exact arithmetic of 2x2 matrices over a quadratic
 ring.
 """
 
-from .subgroups import (
-    SubgroupWitness,
-    enumerate_torsion_elements,
-    find_subgroup,
-    verify_witness,
-)
-from .localtree import PrecisionError, count_maximal_orders_local
-
-__all__ = [
-    "SubgroupWitness",
-    "enumerate_torsion_elements",
-    "find_subgroup",
-    "verify_witness",
-    "PrecisionError",
-    "count_maximal_orders_local",
-]
+from .localtree import count_maximal_orders_local
+from .subgroups import find_subgroup, verify_witness

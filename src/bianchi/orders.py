@@ -9,7 +9,7 @@ the automorphism index of a maximal order.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Optional
 
@@ -25,7 +25,7 @@ from .arith import (
 )
 from .quadfield import ImagQuadField, Splits, SplitType, is_ideal_norm, splitting
 from .quaternion import MATRIX_ALGEBRA, QuaternionAlgebraQ, sigma, sigma_k
-from .quaternion import embeds_in_common_extension
+from .quaternion import _D3_ALGEBRA, _T_ALGEBRA
 
 
 class IncompatibleIndexError(ValueError):
@@ -57,8 +57,9 @@ def hilbert_character(m: int, k: ImagQuadField) -> frozenset[Place]:
 def _hilbert_character(
     m: int, k: ImagQuadField, primes: Iterable[int]
 ) -> frozenset[Place]:
-    """hilbert_character of a non-square m, for primes already proven
-    prime that leave a square of |m|."""
+    """hilbert_character of a non-square m, evaluated at oo, 2, the primes
+    of d and the given primes, already proven prime: these must hold every
+    other place where (m, -d)_v may be -1."""
     minus_d = -k.d
     return frozenset(
         INFINITY if p is None else _proven_place(p)
@@ -172,13 +173,14 @@ def joint_intersection_factor(
     Returns None when no divisor satisfies the identity, which signals
     inconsistent input data.
     """
-    if not embeds_in_common_extension(F, F2, k):
+    sk = sigma_k(F, k)
+    if sk != sigma_k(F2, k):
         raise ValueError("no common extension: sigma_k values differ")
     base = sigma(F) * sigma(F2)
     for lam in (lam_F, lam_MM2, lam_F2):
         base *= _index_class(lam)
     target = F.ramified ^ F2.ramified
-    for f in _divisors_of_primes(_sigma_k_primes(F, sigma_k(F, k))):
+    for f in _divisors_of_primes(_sigma_k_primes(F, sk)):
         if hilbert_character(base * f, k) == target:
             return f
     return None
@@ -282,11 +284,12 @@ def unit_character_divisors(
         sk = sigma_k(F, k)
     if sk == 1:
         return [1]  # 1 is a square: its character is trivial
-    qs = _sigma_k_primes(F, sk)
+    # each prime of sk splits in k, so -d is a square there and no symbol
+    # (f, -d) can be -1 at it: only oo, 2 and the primes of d are evaluated
     return [1] + [
         f
-        for f in _divisors_of_primes(qs)[1:]
-        if not _hilbert_character(f, k, [q for q in qs if f % q == 0])
+        for f in _divisors_of_primes(_sigma_k_primes(F, sk))[1:]
+        if not _hilbert_character(f, k, ())
     ]
 
 
@@ -343,14 +346,14 @@ def automorphism_index(
 @dataclass(eq=False)
 class FieldPass:
     """What a report works out once for its field and keeps for that report only:
-    the splitting of 2 and 3 in k, and (sigma_k, automorphism index) per algebra."""
+    the splitting of 2 and 3 in k, and (sigma_k, automorphism index) of each of
+    the two group algebras, keyed by its ramified places."""
 
     k: ImagQuadField
-    algebras: InitVar[tuple[QuaternionAlgebraQ, ...]]
 
-    def __post_init__(self, algebras: tuple[QuaternionAlgebraQ, ...]) -> None:
+    def __post_init__(self) -> None:
         self.splits: Splits = {2: splitting(self.k, 2), 3: splitting(self.k, 3)}
         self.counts: dict[frozenset, tuple[int, int]] = {}
-        for F in algebras:
+        for F in (_D3_ALGEBRA, _T_ALGEBRA):
             sk = sigma_k(F, self.k, splits=self.splits)
             self.counts[F.ramified] = (sk, automorphism_index(F, self.k, sk=sk))

@@ -105,13 +105,6 @@ def sigma_k(
     return s
 
 
-def embeds_in_common_extension(
-    E: QuaternionAlgebraQ, F: QuaternionAlgebraQ, k: ImagQuadField
-) -> bool:
-    """Whether E embeds in the k-algebra extending F (and vice versa)."""
-    return sigma_k(E, k) == sigma_k(F, k)
-
-
 def normalize_tau(tau: int, k: ImagQuadField) -> int:
     """Reduce tau to a squarefree representative coprime to the discriminant.
 

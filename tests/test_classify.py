@@ -178,20 +178,6 @@ def test_dump_row_drops_nothing_of_the_row():
     assert json.loads(dump_row(row)) != row
 
 
-def test_gamma_composed_names_the_algebra_a_partial_pass_lacks():
-    from bianchi.orders import FieldPass
-    from bianchi.quaternion import group_algebra
-
-    k = ImagQuadField(5)
-    fp = FieldPass(k, (group_algebra(SubgroupKind.D3).algebra,))
-    assert gamma_composed(SubgroupKind.D3, fp) == gamma(SubgroupKind.D3, k)
-    missing = r"no counts for QuaternionAlgebraQ\(\{2, oo\}\), the algebra of "
-    for kind in (SubgroupKind.T, SubgroupKind.D2MAX):
-        with pytest.raises(ValueError, match=missing + kind.value) as exc:
-            gamma_composed(kind, fp)
-        assert not isinstance(exc.value, NoHostOrderError)
-
-
 def test_classify_report_d5():
     report = classify_report(5)
     d3, t, d2 = report["kinds"]

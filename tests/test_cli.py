@@ -1,4 +1,3 @@
-import hashlib
 import json
 import time
 
@@ -78,51 +77,14 @@ def test_main_reuses_one_parser(capsys):
     assert "--dmax" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ("--dmax", "10000"),
-            "2bdf4172caa4cb6b99c149b44810ba727b0d28d5ed8dbdd475729e953185f23a",
-        ),
-        (
-            ("--kinds", "d3,t", "--dmax", "1000"),
-            "01b6aaddbc9bd83baeb0eb5656b3c39f7189f4967fa38fc4a543b3fb289e8672",
-        ),
-    ],
-)
-def test_scan_json_bytes_are_pinned(capsys, argv, digest):
-    # the streamed rows keep the bytes of one key-sorted dump of the document
+@pytest.mark.parametrize("argv", [("--dmax", "10000"), ("--kinds", "d3,t", "--dmax", "1000")])
+def test_scan_json_is_one_key_sorted_dump(capsys, argv):
+    # the streamed rows keep the bytes of one key-sorted dump of the
+    # document; tests/test_pins.py pins the bytes themselves
     code, out, _ = run(capsys, "scan", *argv, "--format", "json")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
     doc = json.loads(out)
     assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def test_table_renderings_are_pinned(capsys):
-    # matrix, division and "-" hosts, a "-" gamma, and failing-prime lists
-    tables = []
-    for d in (1, 3, 5, 7, 91, 10000000019):
-        code, out, _ = run(capsys, "classify", "--d", str(d))
-        assert code == 0
-        tables.append(out)
-    assert hashlib.sha256("".join(tables).encode()).hexdigest() == (
-        "aeefbecc1a320ddb3f1062c3fb7d8913063602327e9eb3833e89574fd087b2b5"
-    )
-    for argv, digest in (
-        (
-            ("--dmax", "500"),
-            "a2f3e45929bac1fa546ab473f1b1d9f3a8ce3f4ce6fef7a9944092d01ae27dc0",
-        ),
-        (
-            ("--dmax", "500", "--kinds", "t,d2"),
-            "51cd01bd0a4023b595375204ed26626f24cf434e92fa4250c2425aa8e2cd6230",
-        ),
-    ):
-        code, out, _ = run(capsys, "scan", *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_scan_json_is_the_same_across_sieve_segments(capsys, monkeypatch):

@@ -311,21 +311,6 @@ def test_search_digest_is_pinned():
         assert h.hexdigest() == digest, H
 
 
-def test_oracle_output_digest_is_pinned(capsys):
-    # `oracle subgroups --height 10` output, byte for byte as the search
-    # printed it before pairs were filtered by the parity of 2W
-    digests = {}
-    for d in (1, 3, 5, 19):
-        assert main(["oracle", "subgroups", "--d", str(d), "--height", "10"]) == 0
-        digests[d] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == {
-        1: "069c33cad95f93fcbf2272acda8a4c4a84f85c180ae8b88762bf9a653986fccb",
-        3: "411edd7cbc34f2ca7689526ba72eb3ec1eb9cdc770cf680cd099800a45060f5a",
-        5: "75462f0df517f9a5d6eb74ddba31376eb19ea0cd81f1584f5e0a432653f4f4a7",
-        19: "99bd17a24e8382716124b16cc3e30103170a693d0da732afc0ea1299ccf69a4f",
-    }
-
-
 @pytest.mark.parametrize("d", [d for d in range(1, 14) if is_squarefree(d)])
 def test_search_agrees_with_theory_small(d):
     for kind in KINDS:

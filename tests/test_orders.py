@@ -194,6 +194,50 @@ def test_unit_character_divisors_evaluates_nothing_when_sigma_k_is_1(
     assert calls == [[]] * 4
 
 
+# the algebras of the autindex suite, whose sigma_k has up to two primes
+AUTINDEX_ALGEBRAS = (
+    FD3,
+    FT,
+    from_hilbert_pair(-1, 3),
+    from_hilbert_pair(2, 5),
+    from_hilbert_pair(-1, 7),
+)
+
+
+def _divisors(n):
+    return [f for f in range(1, n + 1) if n % f == 0]
+
+
+def test_no_prime_of_sigma_k_flips_a_divisor_character():
+    # each prime q of sigma_k splits in k, so -d is a square in Q_q and
+    # (f, -d)_q = +1: unit_character_divisors need not evaluate the symbol at q
+    for d in range(1, 2001):
+        if not is_squarefree(d):
+            continue
+        k = make_field(d)
+        for F in AUTINDEX_ALGEBRAS:
+            sk = sigma_k(F, k)
+            primes = {Place(q) for q in F.finite_ramified if sk % q == 0}
+            for f in _divisors(sk):
+                assert not hilbert_character(f, k) & primes, (d, F, f)
+
+
+def test_unit_character_divisors_lists_the_trivial_characters():
+    for d in range(1, 201):
+        if not is_squarefree(d):
+            continue
+        k = make_field(d)
+        for F in AUTINDEX_ALGEBRAS:
+            sk = sigma_k(F, k)
+            trivial = [f for f in _divisors(sk) if not hilbert_character(f, k)]
+            assert unit_character_divisors(F, k) == trivial, (d, F)
+
+
+def test_hilbert_character_rejects_zero():
+    with pytest.raises(ValueError):
+        hilbert_character(0, make_field(1))
+
+
 def test_trivial_character_examples():
     assert _is_norm(1, make_field(1))
     assert not _is_norm(-1, make_field(1))

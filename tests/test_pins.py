@@ -1,7 +1,8 @@
 """The byte pins of the CLI and the six verify suites at their defaults.
 
 Each pin runs its argv lists in-process through ``bianchi.cli.main``, each
-call exiting 0, and compares the sha256 of their concatenated stdout. The
+call exiting 0, and compares the sha256 of their concatenated stdout; a
+mismatch lists the sha256 of each call's output beside its argv. The
 module also runs as it is under ``python -O``, where the library's
 invariants still hold as explicit raises, and without numpy, where the
 subgroup commands exit 2 naming it:
@@ -29,6 +30,27 @@ PINS = {
     "scan-json-to-1e5": (
         [["scan", "--dmax", "100000", "--format", "json"]],
         "02e5c3177b6703ad2b93e4b0c0b777d8cb803715c91de12e6336ba73812a7f1e",
+    ),
+    "scan-json-to-1e4": (
+        [["scan", "--dmax", "10000", "--format", "json"]],
+        "2bdf4172caa4cb6b99c149b44810ba727b0d28d5ed8dbdd475729e953185f23a",
+    ),
+    "scan-json-d3-t-to-1000": (
+        [["scan", "--kinds", "d3,t", "--dmax", "1000", "--format", "json"]],
+        "01b6aaddbc9bd83baeb0eb5656b3c39f7189f4967fa38fc4a543b3fb289e8672",
+    ),
+    # matrix, division and "-" hosts, a "-" gamma, and failing-prime lists
+    "classify-table": (
+        [["classify", "--d", str(d)] for d in (1, 3, 5, 7, 91, 10000000019)],
+        "aeefbecc1a320ddb3f1062c3fb7d8913063602327e9eb3833e89574fd087b2b5",
+    ),
+    "scan-table-to-500": (
+        [["scan", "--dmax", "500"]],
+        "a2f3e45929bac1fa546ab473f1b1d9f3a8ce3f4ce6fef7a9944092d01ae27dc0",
+    ),
+    "scan-table-t-d2-to-500": (
+        [["scan", "--dmax", "500", "--kinds", "t,d2"]],
+        "51cd01bd0a4023b595375204ed26626f24cf434e92fa4250c2425aa8e2cd6230",
     ),
     # small d, a prime above 10^10, a prime near 2^62 and a semiprime just
     # below 2^63: the last three take the Miller-Rabin and rho paths
@@ -86,10 +108,13 @@ def test_cli_output_is_pinned(capsys, name):
         return
     argvs, digest = PINS[name]
     h = hashlib.sha256()
+    each = []  # on a mismatch, the digest of each call points to its argv
     for argv in argvs:
         assert main(argv) == 0, argv
-        h.update(capsys.readouterr().out.encode())
-    assert h.hexdigest() == digest
+        out = capsys.readouterr().out.encode()
+        h.update(out)
+        each.append(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)}")
+    assert h.hexdigest() == digest, "\n".join(each)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,6 @@ from bianchi.quaternion import (
     MATRIX_ALGEBRA,
     QuaternionAlgebraQ,
     SubgroupKind,
-    embeds_in_common_extension,
     from_hilbert_pair,
     group_algebra,
     normalize_tau,
@@ -75,17 +74,16 @@ def test_sigma_k_divides_sigma(a, b, d):
     assert (sigma(F) < 0) == F.ramified_at_infinity
 
 
-def test_embeds_in_common_extension_examples():
-    FD3 = group_algebra(SubgroupKind.D3).algebra
-    assert embeds_in_common_extension(FD3, FD3, make_field(7))
-    assert embeds_in_common_extension(FD3, MATRIX_ALGEBRA, make_field(3))
-    assert not embeds_in_common_extension(FD3, MATRIX_ALGEBRA, make_field(5))
-
-
 def test_normalize_tau_examples():
     assert normalize_tau(4, make_field(7)) == 1
     assert normalize_tau(3, make_field(3)) == 1
     assert normalize_tau(2, make_field(2)) == 1
+
+
+def test_normalize_tau_keeps_1():
+    # 1 is squarefree, prime to every discriminant and 1 mod 4
+    for d in (1, 2, 3, 5, 6, 7, 15, 30):
+        assert normalize_tau(1, make_field(d)) == 1, d
 
 
 def _check_normalize_contract(tau, d):
