@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from typing import Union
 
-from .orders import FieldPass, IncompatibleIndexError
-from .orders import _order_type, global_embedding_count, hilbert_character
+from .orders import IncompatibleIndexError, _order_type, automorphism_index
+from .orders import global_embedding_count, hilbert_character
 from .quadfield import ImagQuadField
 from .quaternion import KINDS, MATRIX_ALGEBRA, SubgroupKind, group_algebra, sigma
 
@@ -39,11 +39,9 @@ _PROVENANCE = (
 )
 
 
-def _field(d: Union[FieldLike, FieldPass]) -> ImagQuadField:
+def _field(d: FieldLike) -> ImagQuadField:
     # NonSquarefreeError propagates: every criterion assumes squarefree d
-    if isinstance(d, ImagQuadField):
-        return d
-    return d.k if isinstance(d, FieldPass) else ImagQuadField(d)
+    return d if isinstance(d, ImagQuadField) else ImagQuadField(d)
 
 
 def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
@@ -128,15 +126,14 @@ def gamma(kind: SubgroupKind, d: FieldLike) -> int:
 def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
     """The same count along the independent embedding path: B1 / (group aut
     index), with B1 = 2 * C(group order) * [Aut : Inn of the maximal order]
-    the norm-one conjugacy count of optimal embeddings; d may be a report's
-    ``FieldPass``. NoHostOrderError if no order is compatible (D2, d = 3 mod 4).
+    the norm-one conjugacy count of optimal embeddings. NoHostOrderError if
+    no order is compatible (D2, d = 3 mod 4).
     """
+    k = _field(d)
     data = group_algebra(kind)
     F, lam = data.algebra, data.lambda_of_group_order
-    fp = d if isinstance(d, FieldPass) else FieldPass(_field(d))
-    sk, aut = fp.counts[F.ramified]
     try:
-        B1 = 2 * global_embedding_count(lam, F, fp.k, sk=sk, splits=fp.splits) * aut
+        B1 = 2 * global_embedding_count(lam, F, k) * automorphism_index(F, k)
     except IncompatibleIndexError as exc:
         raise NoHostOrderError(str(exc)) from exc
     if B1 % data.aut_index:
@@ -171,10 +168,10 @@ def classify_report(d: FieldLike) -> dict:
     prints and ``scan`` streams: per kind, in KINDS order, whether it exists
     in PSL2(o), whether its host algebra is split and its conjugacy count
     (both None where no maximal order hosts it; the count computed by both
-    paths and checked for equality), and its failing primes. The kinds share
-    one field pass, and d is resolved to its field once."""
+    paths and checked for equality), and its failing primes. d is resolved
+    to its field once, and the kinds share it, with the splitting in k of
+    each prime that one of them asked about."""
     k = _field(d)
-    shared = FieldPass(k)
     kinds = []
     for kind, name in _NAMED_KINDS:
         fails = _failing_primes(kind, k)
@@ -183,7 +180,7 @@ def classify_report(d: FieldLike) -> dict:
         except NoHostOrderError:
             split = count = None
         else:
-            count = checked_gamma(kind, shared)
+            count = checked_gamma(kind, k)
         kinds.append(
             {
                 "kind": name,

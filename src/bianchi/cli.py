@@ -28,7 +28,7 @@ from .classify import (
     host_algebra_split,
     NoHostOrderError,
 )
-from .orders import FieldPass, ramified_pairing_rank, unit_character_divisors
+from .orders import ramified_pairing_rank, unit_character_divisors
 from .quadfield import ImagQuadField, NonSquarefreeError
 from .quaternion import (
     KINDS,
@@ -226,11 +226,10 @@ def _existence_failures_at(k: ImagQuadField) -> list[str]:
 
 
 def _gamma_failures_at(k: ImagQuadField) -> list[str]:
-    shared = FieldPass(k)
     failures = []
     for kind in KINDS:
         try:
-            checked_gamma(kind, shared)
+            checked_gamma(kind, k)
         except NoHostOrderError:
             continue
         except GammaMismatchError as exc:

@@ -9,8 +9,7 @@ the automorphism index of a maximal order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import (
@@ -23,9 +22,9 @@ from .arith import (
     squarefree_part,
     valuation,
 )
-from .quadfield import ImagQuadField, Splits, SplitType, is_ideal_norm, splitting
+from .quadfield import ImagQuadField, SplitType, is_ideal_norm, splitting
 from .quaternion import MATRIX_ALGEBRA, QuaternionAlgebraQ, sigma, sigma_k
-from .quaternion import _D3_ALGEBRA, _T_ALGEBRA
+from .quaternion import _sigma_k_primes
 
 
 class IncompatibleIndexError(ValueError):
@@ -81,44 +80,21 @@ def _order_type(lam_M: int, F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     return lam
 
 
-def _divisors_of_primes(primes: tuple[int, ...]) -> list[int]:
-    """All products of distinct primes from the tuple, ascending."""
+def _divisors_of_primes(primes: list[int]) -> list[int]:
+    """All products of distinct primes from the list, ascending."""
     divs = [1]
     for p in primes:
         divs += [d * p for d in divs]
     return sorted(divs)
 
 
-def _sigma_k_primes(F: QuaternionAlgebraQ, sk: int) -> tuple[int, ...]:
-    """The primes of sk = sigma_k(F, k), ascending, read off F without
-    factoring sk: the finite ramified primes of F that split in k, which
-    are exactly those dividing sk."""
-    return tuple(p for p in F.finite_ramified if sk % p == 0) if sk > 1 else ()
-
-
-def compatible_order_exists(
-    lam: int,
-    F: QuaternionAlgebraQ,
-    k: ImagQuadField,
-    *,
-    sk: Optional[int] = None,
-    splits: Optional[Splits] = None,
-) -> bool:
+def compatible_order_exists(lam: int, F: QuaternionAlgebraQ, k: ImagQuadField) -> bool:
     """Whether some order of index lam in a maximal order of F contains a
     copy of the quadratic ring at all primes dividing lam.
 
-    Holds iff lam is coprime to sigma_k(F) and is an ideal norm of k. A
-    caller that holds sk = sigma_k(F, k), or ``splits``, may pass them;
-    ``splits`` must hold every prime of lam and every finite ramified prime
-    of F, or ValueError is raised.
+    Holds iff lam is an ideal norm of k and coprime to sigma_k(F).
     """
-    if lam < 1:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if splits is not None and not splits.keys() >= {*F.finite_ramified}:
-        raise ValueError(f"splits misses a ramified prime of {F}")
-    if sk is None:
-        sk = sigma_k(F, k, splits=splits)
-    return is_ideal_norm(lam, k, splits=splits) and gcd(lam, sk) == 1
+    return is_ideal_norm(lam, k) and gcd(lam, prod(_sigma_k_primes(F, k))) == 1
 
 
 def maximal_orders_isomorphic(
@@ -138,7 +114,7 @@ def maximal_orders_isomorphic(
     m = squarefree_part(_order_type(lam1, F, k) * _order_type(lam2, F, k))
     return any(
         not hilbert_character(f * m, k)
-        for f in _divisors_of_primes(_sigma_k_primes(F, sigma_k(F, k)))
+        for f in _divisors_of_primes(_sigma_k_primes(F, k))
     )
 
 
@@ -173,14 +149,13 @@ def joint_intersection_factor(
     Returns None when no divisor satisfies the identity, which signals
     inconsistent input data.
     """
-    sk = sigma_k(F, k)
-    if sk != sigma_k(F2, k):
+    if sigma_k(F, k) != sigma_k(F2, k):
         raise ValueError("no common extension: sigma_k values differ")
     base = sigma(F) * sigma(F2)
     for lam in (lam_F, lam_MM2, lam_F2):
         base *= _index_class(lam)
     target = F.ramified ^ F2.ramified
-    for f in _divisors_of_primes(_sigma_k_primes(F, sk)):
+    for f in _divisors_of_primes(_sigma_k_primes(F, k)):
         if hilbert_character(base * f, k) == target:
             return f
     return None
@@ -241,54 +216,44 @@ def local_embedding_count(q: LocalCountQuery) -> int:
     return row[min(e, 7) - 1]
 
 
-def global_embedding_count(
-    lam: int,
-    F: QuaternionAlgebraQ,
-    k: ImagQuadField,
-    *,
-    sk: Optional[int] = None,
-    splits: Optional[Splits] = None,
-) -> int:
+def global_embedding_count(lam: int, F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     """Number of maximal orders of the extended k-algebra meeting F exactly
     in a fixed compatible order of index lam.
 
     Product of the local counts over the primes of lam together with the
     finite ramified primes of F that are inert in k (which contribute 2
-    even at exponent 0); all other primes contribute 1. A caller that holds
-    sk = sigma_k(F, k), or the ``splits`` of the primes of lam and F, may
-    pass them; lam is then not factored, and a prime missing from ``splits``
-    raises ValueError.
+    even at exponent 0); all other primes contribute 1. lam is divided by
+    F's ramified primes first, and only a cofactor above 1 is factored.
     """
-    ram = F.finite_ramified
-    if splits is None:
-        splits = {p: splitting(k, p) for p in {*ram, *factorize(lam).primes()}}
-    if not compatible_order_exists(lam, F, k, sk=sk, splits=splits):
+    if not compatible_order_exists(lam, F, k):
         raise IncompatibleIndexError(
             f"index {lam} is not compatible for this algebra over d={k.d}"
         )
+    ram = F.finite_ramified
+    rest = lam
+    for p in ram:
+        while rest % p == 0:
+            rest //= p
     count = 1
-    for p in sorted(splits):
-        if lam % p == 0 or (p in ram and splits[p] is SplitType.INERT):
+    for p in ram if rest == 1 else {*ram, *factorize(rest).primes()}:
+        split = splitting(k, p)
+        if lam % p == 0 or (p in ram and split is SplitType.INERT):
             d_mod4 = k.d % 4 if p == 2 else None
-            q = LocalCountQuery(p, splits[p], p not in ram, valuation(lam, p), d_mod4)
+            q = LocalCountQuery(p, split, p not in ram, valuation(lam, p), d_mod4)
             count *= local_embedding_count(q)
     return count
 
 
-def unit_character_divisors(
-    F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
-) -> list[int]:
-    """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place. A
-    caller that holds sk = sigma_k(F, k) may pass it."""
-    if sk is None:
-        sk = sigma_k(F, k)
-    if sk == 1:
+def unit_character_divisors(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
+    """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place."""
+    qs = _sigma_k_primes(F, k)
+    if not qs:
         return [1]  # 1 is a square: its character is trivial
-    # each prime of sk splits in k, so -d is a square there and no symbol
+    # each prime of sigma_k splits in k, so -d is a square there and no symbol
     # (f, -d) can be -1 at it: only oo, 2 and the primes of d are evaluated
     return [1] + [
         f
-        for f in _divisors_of_primes(_sigma_k_primes(F, sk))[1:]
+        for f in _divisors_of_primes(qs)[1:]
         if not _hilbert_character(f, k, ())
     ]
 
@@ -301,10 +266,9 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     has everywhere-trivial character iff its exponent vector lies in the
     kernel of the pairing (the symbol (f, -d)_v can be -1 only at v | D).
     """
-    sk = sigma_k(F, k)
-    if sk == 1:
+    qs = _sigma_k_primes(F, k)
+    if not qs:
         return 0  # no primes q, so the pairing matrix has no columns
-    qs = _sigma_k_primes(F, sk)
     rows = []
     for v in map(_proven_place, k.discriminant_primes()):
         mask = 0
@@ -324,36 +288,15 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     return len(pivots)
 
 
-def automorphism_index(
-    F: QuaternionAlgebraQ, k: ImagQuadField, *, sk: Optional[int] = None
-) -> int:
+def automorphism_index(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     """Index of inner automorphisms in all automorphisms of a maximal order
     of the k-algebra extending F: 2^(t+r+s-1), with t the number of primes
     of the discriminant, r the number of primes of sigma_k(F), and 2^s the
-    number of divisors of sigma_k(F) with everywhere-trivial character. A
-    caller that holds sk = sigma_k(F, k) may pass it."""
-    if sk is None:
-        sk = sigma_k(F, k)
+    number of divisors of sigma_k(F) with everywhere-trivial character."""
     t = len(k.discriminant_primes())
-    r = len(_sigma_k_primes(F, sk))
-    n_trivial = len(unit_character_divisors(F, k, sk=sk))
+    r = len(_sigma_k_primes(F, k))
+    n_trivial = len(unit_character_divisors(F, k))
     s = n_trivial.bit_length() - 1
     if 1 << s != n_trivial:
         raise AssertionError("trivial-character divisors must number a power of 2")
     return 1 << (t + r + s - 1)
-
-
-@dataclass(eq=False)
-class FieldPass:
-    """What a report works out once for its field and keeps for that report only:
-    the splitting of 2 and 3 in k, and (sigma_k, automorphism index) of each of
-    the two group algebras, keyed by its ramified places."""
-
-    k: ImagQuadField
-
-    def __post_init__(self) -> None:
-        self.splits: Splits = {2: splitting(self.k, 2), 3: splitting(self.k, 3)}
-        self.counts: dict[frozenset, tuple[int, int]] = {}
-        for F in (_D3_ALGEBRA, _T_ALGEBRA):
-            sk = sigma_k(F, self.k, splits=self.splits)
-            self.counts[F.ramified] = (sk, automorphism_index(F, self.k, sk=sk))

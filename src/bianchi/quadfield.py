@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .arith import factorize, kronecker, valuation
+from .arith import factorize, kronecker
 
 
 class NonSquarefreeError(ValueError):
@@ -18,8 +18,8 @@ class SplitType(enum.Enum):
     RAMIFIED = "ramified"
 
 
-#: The splitting in k of primes a caller has worked out once and passes down
-Splits = dict[int, SplitType]
+#: the splitting of p in k by the Kronecker symbol (D/p)
+_BY_SYMBOL = {1: SplitType.SPLIT, -1: SplitType.INERT, 0: SplitType.RAMIFIED}
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,16 @@ class ImagQuadField:
 
     The field carries the primes of d, ascending, in ``primes``: d is
     factored once, when the field is built, or its primes come from a sieve
-    (``_from_primes``). Equality and hash are by d.
+    (``_from_primes``). It also keeps the splitting of each prime that
+    ``splitting`` was asked about, in ``_splits``. Equality and hash are by d.
     """
 
     d: int
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _splits: dict[int, SplitType] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_splits", {})
         if "primes" in vars(self):  # set already by _from_primes
             return
         if self.d < 1:
@@ -74,33 +77,29 @@ def make_field(d: int) -> ImagQuadField:
 
 
 def splitting(k: ImagQuadField, p: int) -> SplitType:
-    """Behavior of the rational prime p in k, read off the Kronecker symbol (D/p)."""
-    s = kronecker(k.discriminant, p)
-    if s == 0:
-        return SplitType.RAMIFIED
-    return SplitType.SPLIT if s == 1 else SplitType.INERT
+    """Behavior of the rational prime p in k, read off the Kronecker symbol
+    (D/p) once per field and prime, and kept on the field."""
+    split = k._splits.get(p)
+    if split is None:
+        split = k._splits[p] = _BY_SYMBOL[kronecker(k.discriminant, p)]
+    return split
 
 
-def is_ideal_norm(lam: int, k: ImagQuadField, *, splits: Splits | None = None) -> bool:
+def is_ideal_norm(lam: int, k: ImagQuadField) -> bool:
     """Whether lam is the absolute norm of an integral ideal of k.
 
     Split and ramified primes realize every exponent; an inert prime only
     contributes squares, so the condition is that v_p(lam) is even at every
-    inert p. A caller that holds the splitting of every prime of lam may
-    pass it as ``splits``, and lam is then not factored; ValueError if
-    ``splits`` misses a prime of lam.
+    inert p. The primes of the discriminant, all ramified, are divided out
+    of lam first, and only what is left is factored.
     """
     if lam < 1:
         raise ValueError(f"lam must be positive, got {lam}")
-    if splits is None:
-        splits = {p: splitting(k, p) for p in factorize(lam).primes()}
-    rest, norm = lam, True
-    for p, split in splits.items():
-        if rest == 1:
-            break  # lam is used up: every other prime has exponent 0
-        e = valuation(rest, p)
-        rest //= p**e
-        norm = norm and not (e % 2 and split is SplitType.INERT)
-    if rest != 1:
-        raise ValueError(f"splits misses a prime of lam={lam}, which leaves {rest}")
-    return norm
+    rest = lam
+    for p in k.discriminant_primes():
+        while rest % p == 0:
+            rest //= p
+    return rest == 1 or all(
+        e % 2 == 0 or splitting(k, p) is not SplitType.INERT
+        for p, e in factorize(rest).factors
+    )

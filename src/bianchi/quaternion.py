@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, prod
 
 from .arith import (
     INFINITY,
@@ -19,7 +19,7 @@ from .arith import (
     relevant_places,
     squarefree_part,
 )
-from .quadfield import ImagQuadField, Splits, SplitType, splitting
+from .quadfield import ImagQuadField, SplitType, splitting
 
 
 class SubgroupKind(enum.Enum):
@@ -85,24 +85,19 @@ def sigma(F: QuaternionAlgebraQ) -> int:
     return -s if F.ramified_at_infinity else s
 
 
-def sigma_k(
-    F: QuaternionAlgebraQ, k: ImagQuadField, *, splits: Splits | None = None
-) -> int:
+def sigma_k(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     """Product of the finite ramified primes of F that split in k.
 
     This invariant decides which k-quaternion algebra F extends to; it is 1
-    exactly when F embeds in M2(k). A caller may pass the ``splits`` of F's
-    primes; ValueError if it misses one.
+    exactly when F embeds in M2(k).
     """
-    s = 1
-    for p in F.finite_ramified:
-        try:
-            split = splitting(k, p) if splits is None else splits[p]
-        except KeyError:
-            raise ValueError(f"splits misses the ramified prime {p} of {F}") from None
-        if split is SplitType.SPLIT:
-            s *= p
-    return s
+    return prod(_sigma_k_primes(F, k))
+
+
+def _sigma_k_primes(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
+    """The primes of sigma_k(F, k), ascending, read off the splitting in k
+    of F's finite ramified primes, without factoring sigma_k."""
+    return [p for p in F.finite_ramified if splitting(k, p) is SplitType.SPLIT]
 
 
 def normalize_tau(tau: int, k: ImagQuadField) -> int:

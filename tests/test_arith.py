@@ -256,17 +256,12 @@ def test_valuation_rejects_a_unit_or_zero_base(run_python):
     # regression times out instead of hanging the suite
     code = """
 from bianchi.arith import valuation
-from bianchi.quadfield import ImagQuadField, SplitType, is_ideal_norm
 print(valuation(12, 2), valuation(-27, -3))
 for p in (1, -1, 0):
     try:
         valuation(3, p)
     except ValueError as exc:
         print(exc)
-try:
-    is_ideal_norm(3, ImagQuadField(1), splits={1: SplitType.SPLIT, 3: SplitType.INERT})
-except ValueError as exc:
-    print(exc)
 """
     done = run_python(code, timeout=20)
     assert done.returncode == 0, done.stderr
@@ -275,7 +270,6 @@ except ValueError as exc:
         "v_p needs |p| >= 2, got p=1",
         "v_p needs |p| >= 2, got p=-1",
         "v_p needs |p| >= 2, got p=0",
-        "v_p needs |p| >= 2, got p=1",
     ]
 
 

@@ -314,9 +314,9 @@ def test_no_result_outlives_a_report(monkeypatch):
         assert classify_report(k) == classify_report(5)
     real = orders.unit_character_divisors
 
-    def doubled(F, k, *, sk=None):
+    def doubled(F, k):
         # twice the divisors: still a power of 2, but twice the index
-        return 2 * real(F, k, sk=sk)
+        return 2 * real(F, k)
 
     monkeypatch.setattr(orders, "unit_character_divisors", doubled)
     for k in fields:

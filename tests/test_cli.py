@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from bianchi.arith import factorize
+from bianchi.arith import factorize, kronecker
 from bianchi.classify import gamma_composed
 from bianchi.cli import _build_parser, _squarefree_range, main
 from bianchi.quadfield import ImagQuadField, NonSquarefreeError
@@ -77,10 +77,11 @@ def test_main_reuses_one_parser(capsys):
     assert "--dmax" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [("--dmax", "10000"), ("--kinds", "d3,t", "--dmax", "1000")])
+@pytest.mark.parametrize("argv", [("--dmax", "3000"), ("--kinds", "t,d2", "--dmax", "1000")])
 def test_scan_json_is_one_key_sorted_dump(capsys, argv):
     # the streamed rows keep the bytes of one key-sorted dump of the
-    # document; tests/test_pins.py pins the bytes themselves
+    # document; the pin runner in tests/test_pins.py checks the same of the
+    # pinned JSON scans, so these argvs are ones no pin runs
     code, out, _ = run(capsys, "scan", *argv, "--format", "json")
     assert code == 0
     doc = json.loads(out)
@@ -327,6 +328,25 @@ def test_scan_factors_no_d(capsys, record_calls):
     assert n_d == 608
     assert factored == []
     assert len(sigma_ks) <= 2 * n_d
+
+
+def test_scan_asks_each_field_for_the_splitting_of_2_and_3_once(capsys, monkeypatch):
+    # the field keeps the splitting of each prime it was asked about, so the
+    # kinds of a report share one Kronecker symbol per prime
+    from bianchi import quadfield
+
+    symbols = []
+
+    def counted(D, p):
+        symbols.append((D, p))
+        return kronecker(D, p)
+
+    monkeypatch.setattr(quadfield, "kronecker", counted)
+    code, out, _ = run(capsys, "scan", "--dmax", "1000", "--format", "json")
+    assert code == 0
+    n_d = len(json.loads(out)["rows"])
+    assert len(symbols) <= 2 * n_d
+    assert {p for _, p in symbols} == {2, 3}
 
 
 def test_oracle_subgroups_rejects_d_beyond_exact_range(capsys):

@@ -190,7 +190,6 @@ def test_unit_character_divisors_evaluates_nothing_when_sigma_k_is_1(
     ]
     for F, k in trivial:
         assert unit_character_divisors(F, k) == [1]
-        assert unit_character_divisors(F, k, sk=1) == [1]
     assert calls == [[]] * 4
 
 
@@ -426,34 +425,9 @@ def test_global_count_rejects_incompatible():
         global_embedding_count(3, FD3, make_field(5))
     with pytest.raises(IncompatibleIndexError):
         global_embedding_count(3, MATRIX_ALGEBRA, make_field(1))
-
-
-def test_incomplete_splits_are_rejected():
-    k = make_field(1)
-    two = {2: SplitType.RAMIFIED}
-    # 3 is inert in Q(i): left out of splits, it would count 1 instead of 2
-    assert global_embedding_count(1, FD3, k, sk=1) == 2
-    with pytest.raises(ValueError, match="ramified prime"):
-        global_embedding_count(1, FD3, k, sk=1, splits=two)
-    with pytest.raises(ValueError, match="ramified prime"):
-        compatible_order_exists(1, FD3, k, splits=two)
-    # lam = 3 is no ideal norm of Q(i); left out, 3 would read as not inert
+    # lam = 3 is no ideal norm of Q(i): 3 is inert
     with pytest.raises(IncompatibleIndexError):
-        global_embedding_count(3, FT, k)
-    with pytest.raises(ValueError, match="prime of lam"):
-        global_embedding_count(3, FT, k, splits=two)
-    # complete splits give the same answers as none
-    full = {2: SplitType.RAMIFIED, 3: SplitType.INERT}
-    assert global_embedding_count(1, FD3, k, sk=1, splits=full) == 2
-    with pytest.raises(IncompatibleIndexError):
-        global_embedding_count(3, FT, k, splits=full)
-    # sigma_k of D3's algebra over d = 5 is 3; an empty splits is no licence
-    # to read 3 off the field, and a splits without 3 names it
-    k5 = make_field(5)
-    for splits in ({}, two):
-        with pytest.raises(ValueError, match="ramified prime 3 "):
-            sigma_k(FD3, k5, splits=splits)
-    assert sigma_k(FD3, k5, splits={2: SplitType.INERT, 3: SplitType.SPLIT}) == 3
+        global_embedding_count(3, FT, make_field(1))
 
 
 def test_automorphism_index_examples():
@@ -470,7 +444,7 @@ from bianchi import orders
 from bianchi.quadfield import make_field
 from bianchi.quaternion import SubgroupKind, group_algebra
 
-orders.unit_character_divisors = lambda F, k, sk=None: [1, 2, 3]
+orders.unit_character_divisors = lambda F, k: [1, 2, 3]
 for d in (11, 2):
     try:
         orders.automorphism_index(group_algebra(SubgroupKind.D3).algebra, make_field(d))

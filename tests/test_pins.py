@@ -3,6 +3,8 @@
 Each pin runs its argv lists in-process through ``bianchi.cli.main``, each
 call exiting 0, and compares the sha256 of their concatenated stdout; a
 mismatch lists the sha256 of each call's output beside its argv. The
+output of each ``--format json`` call must also read back as one JSON
+document whose key-sorted compact dump it is, byte for byte. The
 module also runs as it is under ``python -O``, where the library's
 invariants still hold as explicit raises, and without numpy, where the
 subgroup commands exit 2 naming it:
@@ -11,6 +13,7 @@ subgroup commands exit 2 naming it:
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -111,7 +114,11 @@ def test_cli_output_is_pinned(capsys, name):
     each = []  # on a mismatch, the digest of each call points to its argv
     for argv in argvs:
         assert main(argv) == 0, argv
-        out = capsys.readouterr().out.encode()
+        out = capsys.readouterr().out
+        if "json" in argv:  # the value of --format, the one argument "json"
+            dump = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+            assert out == dump + "\n", argv
+        out = out.encode()
         h.update(out)
         each.append(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)}")
     assert h.hexdigest() == digest, "\n".join(each)

@@ -7,6 +7,7 @@ from bianchi.arith import (
     hilbert_symbol,
     is_prime,
     is_squarefree,
+    kronecker,
     relevant_places,
 )
 from bianchi.orders import hilbert_character
@@ -87,18 +88,23 @@ def test_is_ideal_norm_examples():
     assert not is_ideal_norm(3, k1)
     assert is_ideal_norm(9, k1)
     assert is_ideal_norm(5, k1)
+    assert is_ideal_norm(45, k1)  # 3 is inert, and 45 = 3^2 * 5
 
 
-def test_is_ideal_norm_rejects_splits_that_miss_a_prime():
-    k1 = make_field(1)
-    with pytest.raises(ValueError, match="prime of lam"):
-        is_ideal_norm(3, k1, splits={})
-    with pytest.raises(ValueError, match="prime of lam"):
-        is_ideal_norm(45, k1, splits={3: SplitType.INERT})
-    # primes beyond those of lam may be given; each prime of lam must be
-    assert not is_ideal_norm(3, k1, splits={2: SplitType.RAMIFIED, 3: SplitType.INERT})
-    assert is_ideal_norm(45, k1, splits={3: SplitType.INERT, 5: SplitType.SPLIT})
-    assert is_ideal_norm(1, k1, splits={})
+def test_is_ideal_norm_is_its_definition():
+    # every prime of lam inert in k has an even exponent; this reads all of
+    # lam's factorization, where is_ideal_norm first divides out the primes
+    # of the discriminant
+    factored = [(lam, factorize(lam).factors) for lam in range(1, 2001)]
+    primes = [p for p in range(2, 2001) if is_prime(p)]
+    for d in range(1, 201):
+        if not is_squarefree(d):
+            continue
+        k = make_field(d)
+        inert = {p for p in primes if kronecker(k.discriminant, p) == -1}
+        for lam, factors in factored:
+            norm = all(e % 2 == 0 for p, e in factors if p in inert)
+            assert is_ideal_norm(lam, k) == norm, (lam, d)
 
 
 @given(
