@@ -49,11 +49,7 @@ def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
     D3 needs p = 1 mod 3 for all p != 3 dividing d; T needs p = 1 or 3 mod 8
     for all odd p | d; maximal D2 needs p = 1 mod 4 for all odd p | d.
     """
-    return _failing_primes(kind, _field(d))
-
-
-def _failing_primes(kind: SubgroupKind, k: ImagQuadField) -> list[int]:
-    primes = k.primes
+    primes = _field(d).primes
     if kind is SubgroupKind.D3:
         return [p for p in primes if p != 3 and p % 3 != 1]
     if kind is SubgroupKind.T:
@@ -87,11 +83,7 @@ def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
     exists in some maximal order only for d != 3 mod 4 (and then the host
     is always split); otherwise NoHostOrderError is raised.
     """
-    return _host_split(kind, _field(d))
-
-
-def _host_split(kind: SubgroupKind, k: ImagQuadField) -> bool:
-    d = k.d
+    d = _field(d).d
     if kind is SubgroupKind.D3:
         return d % 3 != 2
     if kind is SubgroupKind.T:
@@ -113,7 +105,7 @@ def gamma(kind: SubgroupKind, d: FieldLike) -> int:
     of d lies in the trivial congruence class (+-1 mod 12 resp. mod 8).
     """
     k = _field(d)
-    host = _host_split(kind, k)  # raises for D2, d = 3 mod 4
+    host = host_algebra_split(kind, k)  # raises for D2, d = 3 mod 4
     if kind is SubgroupKind.D3:
         t = len(k.discriminant_primes()) - (k.d % 3 == 0)
         doubles = not host and all(p % 12 in (1, 11) for p in k.primes if p != 2)
@@ -168,15 +160,16 @@ def classify_report(d: FieldLike) -> dict:
     prints and ``scan`` streams: per kind, in KINDS order, whether it exists
     in PSL2(o), whether its host algebra is split and its conjugacy count
     (both None where no maximal order hosts it; the count computed by both
-    paths and checked for equality), and its failing primes. d is resolved
-    to its field once, and the kinds share it, with the splitting in k of
-    each prime that one of them asked about."""
+    paths and checked for equality), and its failing primes, each read from
+    the public function that answers it. d is resolved to its field once,
+    and the kinds share it, with the splitting in k of each prime that one
+    of them asked about."""
     k = _field(d)
     kinds = []
     for kind, name in _NAMED_KINDS:
-        fails = _failing_primes(kind, k)
+        fails = failing_primes(kind, k)
         try:
-            split = _host_split(kind, k)
+            split = host_algebra_split(kind, k)
         except NoHostOrderError:
             split = count = None
         else:

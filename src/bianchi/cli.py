@@ -16,7 +16,7 @@ from functools import cache, partial
 from math import isqrt
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .arith import _primes_upto, factorize, hilbert_symbol
+from .arith import _primes_upto, hilbert_symbol
 from .classify import (
     SCHEMA_VERSION,
     GammaMismatchError,
@@ -28,15 +28,15 @@ from .classify import (
     host_algebra_split,
     NoHostOrderError,
 )
-from .orders import ramified_pairing_rank, unit_character_divisors
-from .quadfield import ImagQuadField, NonSquarefreeError
+from .orders import automorphism_index, ramified_pairing_rank
+from .quadfield import ImagQuadField
 from .quaternion import (
     KINDS,
     QuaternionAlgebraQ,
     SubgroupKind,
+    _sigma_k_primes,
     from_hilbert_pair,
     group_algebra,
-    sigma_k,
 )
 from .oracle.localtree import (
     PrecisionError,
@@ -52,20 +52,16 @@ _SIEVE_SPAN = 1 << 12
 _DEFAULT_HEIGHT = 10
 
 
-class UsageError(Exception):
-    pass
-
-
 def _check_dmax(dmax: Optional[int]) -> None:
     """None stands for a suite's default range."""
     if dmax is not None and not 1 <= dmax <= 10**6:
-        raise UsageError("--dmax must lie in 1..10^6")
+        raise ValueError("--dmax must lie in 1..10^6")
 
 
 def _check_height(height: Optional[int]) -> None:
     """None stands for the default height."""
     if height is not None and not 1 <= height <= MAX_HEIGHT:
-        raise UsageError(f"--height must lie in 1..{MAX_HEIGHT}")
+        raise ValueError(f"--height must lie in 1..{MAX_HEIGHT}")
 
 
 def _squarefree_range(lo: int, hi: int) -> Iterator[ImagQuadField]:
@@ -132,7 +128,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             named = set()
         if not named:
             listed = ",".join(k.value for k in KINDS)
-            raise UsageError(f"--kinds must name some of {listed}, got {args.kinds!r}")
+            raise ValueError(f"--kinds must name some of {listed}, got {args.kinds!r}")
         chosen = [i for i, k in enumerate(KINDS) if k in named]
     kinds = [KINDS[i] for i in chosen]
     totals = [0] * len(chosen)
@@ -250,17 +246,16 @@ def _autindex_algebras() -> tuple[QuaternionAlgebraQ, ...]:
 
 
 def _autindex_failures_at(k: ImagQuadField) -> list[str]:
+    """automorphism_index, whose s counts the trivial-character divisors of
+    sigma_k, against 2^(t+r+s-1) with s = r - rank, where rank is the GF(2)
+    rank of the ramified pairing: 2^(t + 2r - rank - 1)."""
+    t = len(k.discriminant_primes())
     failures = []
     for F in _autindex_algebras():
-        sk = sigma_k(F, k)
-        r = len(factorize(sk).primes()) if sk > 1 else 0
-        n_trivial = len(unit_character_divisors(F, k))
-        s_enum = n_trivial.bit_length() - 1
-        if 1 << s_enum != n_trivial:
-            failures.append(f"divisor count not a power of 2: d={k.d}, {F}")
-            continue
-        if s_enum != r - ramified_pairing_rank(F, k):
-            failures.append(f"s-count/rank mismatch: d={k.d}, {F}")
+        r = len(_sigma_k_primes(F, k))
+        s = r - ramified_pairing_rank(F, k)
+        if automorphism_index(F, k) != 1 << (t + r + s - 1):
+            failures.append(f"automorphism index/rank mismatch: d={k.d}, {F}")
     return failures
 
 
@@ -337,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if default is not None:
             options[name] = default if given is None else given
         elif given is not None:
-            raise UsageError(f"suite {args.suite} does not read --{name}")
+            raise ValueError(f"suite {args.suite} does not read --{name}")
     _check_dmax(args.dmax)
     _check_height(args.height)
     failures = suite.run(**options)
@@ -452,7 +447,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, NonSquarefreeError, ValueError, NumpyMissingError) as exc:
+    except (ValueError, NumpyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GammaMismatchError, PrecisionError) as exc:

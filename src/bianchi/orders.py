@@ -9,7 +9,7 @@ the automorphism index of a maximal order.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from typing import Iterable, NamedTuple, Optional
 
 from .arith import (
@@ -43,22 +43,20 @@ def hilbert_character(m: int, k: ImagQuadField) -> frozenset[Place]:
     given by the set of places where it is -1. Reciprocity makes that set
     even.
 
-    A positive square m gives the trivial character, with no symbol
-    evaluated. Otherwise the symbol can be -1 only at oo, 2 and the
-    primes of m and d, so only those places are evaluated; d's primes
-    are read from the field, and m's from its factorization.
+    The symbol can be -1 only at oo, 2 and the primes of m and d, so only
+    those places are evaluated; d's primes are read from the field, and
+    m's from its factorization, which rejects m = 0. A positive square m
+    gives the empty set, the trivial character.
     """
-    if m > 0 and isqrt(m) ** 2 == m:
-        return frozenset()
     return _hilbert_character(m, k, factorize(m).primes())
 
 
 def _hilbert_character(
     m: int, k: ImagQuadField, primes: Iterable[int]
 ) -> frozenset[Place]:
-    """hilbert_character of a non-square m, evaluated at oo, 2, the primes
-    of d and the given primes, already proven prime: these must hold every
-    other place where (m, -d)_v may be -1."""
+    """hilbert_character of m, evaluated at oo, 2, the primes of d and the
+    given primes, already proven prime: these must hold every other place
+    where (m, -d)_v may be -1."""
     minus_d = -k.d
     return frozenset(
         INFINITY if p is None else _proven_place(p)

@@ -244,6 +244,34 @@ def test_classify_report_raises_when_gamma_paths_differ(monkeypatch):
         classify_report(5)
 
 
+def test_classify_report_reads_failing_primes(monkeypatch):
+    from bianchi import classify
+
+    before = classify_report(5)
+    monkeypatch.setattr(classify, "failing_primes", lambda kind, d: [7])
+    row = classify_report(5)
+    assert row != before
+    assert all(e["failing_primes"] == [7] and not e["exists"] for e in row["kinds"])
+
+
+def test_classify_report_reads_host_algebra_split(monkeypatch):
+    from bianchi import classify
+
+    real = classify.host_algebra_split
+
+    def no_d3_host(kind, d):
+        if kind is SubgroupKind.D3:
+            raise NoHostOrderError("no host")
+        return real(kind, d)
+
+    before = classify_report(5)
+    monkeypatch.setattr(classify, "host_algebra_split", no_d3_host)
+    row = classify_report(5)
+    assert row["kinds"][1:] == before["kinds"][1:]
+    assert before["kinds"][0]["host_split"] is False
+    assert row["kinds"][0]["host_split"] is None and row["kinds"][0]["gamma"] is None
+
+
 def test_classify_report_factors_d_once(record_calls):
     d = 10000000019
     seen = record_calls(factorize)
@@ -271,7 +299,7 @@ def test_embedding_path_reads_nothing_of_the_closed_form(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the embedding path read the closed form")
 
-    for name in ("failing_primes", "gamma", "contains_in_psl2o"):
+    for name in ("failing_primes", "gamma", "contains_in_psl2o", "host_algebra_split"):
         monkeypatch.setattr(f"bianchi.classify.{name}", forbidden)
     for k in fields:
         for kind in KINDS:
@@ -324,7 +352,7 @@ def test_no_result_outlives_a_report(monkeypatch):
             classify_report(k)
 
 
-def test_shared_pass_matches_the_per_function_api():
+def test_report_matches_the_per_function_api():
     ds = [d for d in range(1, 2001) if is_squarefree(d)]
     for d in ds + [10000000019, 3037000453 * 3037000493]:
         report = classify_report(d)

@@ -306,6 +306,25 @@ def test_verify_local_checks_the_r0_rows(capsys, monkeypatch):
     assert err.count("r=0: got 1, table says 2") == 4
 
 
+def test_verify_autindex_reaches_automorphism_index(capsys, monkeypatch):
+    # an index that loses a factor 2 once sigma_k has two primes, as a cap of
+    # r at 1 would; no group algebra has two, so the gamma suite cannot see it
+    from bianchi import cli
+    from bianchi.quaternion import _sigma_k_primes
+
+    real = cli.automorphism_index
+
+    def capped(F, k):
+        n = real(F, k)
+        return n // 2 if len(_sigma_k_primes(F, k)) == 2 else n
+
+    monkeypatch.setattr(cli, "automorphism_index", capped)
+    code, out, err = run(capsys, "verify", "--suite", "autindex")
+    assert code == 1 and out.endswith(" failure(s)\n")
+    first = err.splitlines()[0]
+    assert "d=23," in first and "QuaternionAlgebraQ({2, 3})" in first, first
+
+
 def test_height_outside_search_range_is_a_usage_error(capsys):
     for argv in (
         ("verify", "--suite", "subgroups", "--height", "17"),
@@ -318,8 +337,9 @@ def test_height_outside_search_range_is_a_usage_error(capsys):
 
 
 def test_scan_factors_no_d(capsys, record_calls):
-    # nor anything else: the primes of each d come from the sieve, and those
-    # of the group indices and of sigma_k from the field pass of each report
+    # nor anything else: the primes of each d come from the sieve, those of
+    # sigma_k from the splitting that each field keeps, and each group index
+    # is divided by its algebra's ramified primes before anything is factored
     factored = record_calls(factorize)
     sigma_ks = record_calls(sigma_k)
     code, out, _ = run(capsys, "scan", "--dmax", "1000", "--format", "json")

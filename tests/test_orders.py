@@ -434,6 +434,11 @@ def test_automorphism_index_examples():
     assert automorphism_index(MATRIX_ALGEBRA, make_field(1)) == 1
     assert automorphism_index(MATRIX_ALGEBRA, make_field(15)) == 2
     assert automorphism_index(FD3, make_field(5)) == 4
+    # r = 2: 2 and 3 both split in k; t = 1, s = 2 at d = 23 (rank 0), and
+    # t = 2, s = 1 at d = 119 (rank 1), so 2^(t+r+s-1) = 16 either way
+    F23 = from_hilbert_pair(-1, 3)
+    assert automorphism_index(F23, make_field(23)) == 16
+    assert automorphism_index(F23, make_field(119)) == 16
 
 
 def test_automorphism_index_checks_the_divisor_count_under_optimize(run_python):

@@ -47,7 +47,7 @@ def test_field_carries_the_primes_of_d():
             }
             assert hilbert_character(m, k) == reference
         for m in (1, 4, 9, 36, 10**6):
-            # a positive square skips the symbols, which are all +1
+            # every symbol of a positive square is +1: the trivial character
             assert all(hilbert_symbol(m, -d, v) == 1 for v in relevant_places(m, d))
             assert not hilbert_character(m, k)
     assert make_field(30) == make_field(30)
