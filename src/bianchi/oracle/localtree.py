@@ -30,7 +30,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from ..arith import Place, hilbert_symbol, is_prime, kronecker, valuation
+from ..arith import _hilbert_symbol_at, is_prime, kronecker, valuation
 from ..quadfield import ImagQuadField, SplitType, splitting
 from .ring import Flat, Pair, _minv, _mmul, _mtrace, _scalar
 
@@ -394,7 +394,7 @@ def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> in
         )
     if tau == 0 or valuation(tau, p) > 1:
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
-    eps = hilbert_symbol(tau, -k.d, Place(p))
+    eps = _hilbert_symbol_at(tau, -k.d, p)
     K_prec = r + 3
     first, second = _counts_at_precisions(k, p, eps, r, (K_prec, K_prec + 1))
     if first != second:

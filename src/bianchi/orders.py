@@ -18,7 +18,6 @@ from .arith import (
     _hilbert_symbol_at,
     _proven_place,
     factorize,
-    hilbert_symbol,
     squarefree_part,
     valuation,
 )
@@ -268,10 +267,10 @@ def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     if not qs:
         return 0  # no primes q, so the pairing matrix has no columns
     rows = []
-    for v in map(_proven_place, k.discriminant_primes()):
+    for p in k.discriminant_primes():
         mask = 0
         for j, q in enumerate(qs):
-            if hilbert_symbol(q, -k.d, v) == -1:
+            if _hilbert_symbol_at(q, -k.d, p) == -1:
                 mask |= 1 << j
         rows.append(mask)
     # Gaussian elimination over GF(2) on bitmask rows

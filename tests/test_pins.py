@@ -1,10 +1,12 @@
-"""The byte pins of the CLI and the six verify suites at their defaults.
+"""The byte pins of the CLI, its exit contracts, and the six verify suites
+at their defaults.
 
 Each pin runs its argv lists in-process through ``bianchi.cli.main``, each
-call exiting 0, and compares the sha256 of their concatenated stdout; a
-mismatch lists the sha256 of each call's output beside its argv. The
-output of each ``--format json`` call must also read back as one JSON
-document whose key-sorted compact dump it is, byte for byte. The
+call exiting 0, and compares the sha256 of their concatenated stdout. A
+mismatch lists the sha256 of each call's output beside its argv, and says
+of each ``--format json`` output whether it is the key-sorted compact dump
+of its own parse. Each row of the exit-contract table runs one bad argument
+or one fault and checks the exit code and what is printed. The
 module also runs as it is under ``python -O``, where the library's
 invariants still hold as explicit raises, and without numpy, where the
 subgroup commands exit 2 naming it:
@@ -14,10 +16,16 @@ subgroup commands exit 2 naming it:
 
 import hashlib
 import json
+import time
 
 import pytest
 
+from bianchi.classify import contains_in_order, gamma_composed
 from bianchi.cli import main
+from bianchi.oracle.localtree import PrecisionError
+from bianchi.orders import automorphism_index, local_embedding_count
+from bianchi.quadfield import SplitType
+from bianchi.quaternion import _sigma_k_primes
 
 try:
     import numpy  # noqa: F401
@@ -93,6 +101,176 @@ PINS = {
         [["oracle", "subgroups", "--d", str(d), "--height", "10"] for d in SQUAREFREE_TO_30],
         "929b8900f675928f331e8fe01aa043ef268afbd24b5d2789fa77c7a1f488b5a3",
     ),
+    # matrix and division hosts, gamma from 1 to 8, and a prime above 10^10;
+    # d2 only where it has a host, d != 3 mod 4
+    "gamma": (
+        [
+            ["gamma", "--d", str(d), "--kind", kind]
+            for d in (1, 2, 5, 7, 105, 10000000019)
+            for kind in ("d3", "t", "d2")
+            if kind != "d2" or d % 4 != 3
+        ],
+        "0678c5074b4a6cc0e2513f30d93234ac295e0f07af290b206883be6a3be51aa3",
+    ),
+}
+
+
+def local_count(p=3, d=3, tau=-1, exp=1):
+    return ["oracle", "local-count", "--p", str(p), "--d", str(d),
+            "--tau", str(tau), "--exp", str(exp)]
+
+
+# A usage row gives an argv and a word of its error: the call exits 2 within
+# a second, prints nothing on stdout, and writes one line to stderr, which
+# starts "error: " and holds the word.
+USAGE_ROWS = [
+    (["classify", "--d", "0"], "positive"),
+    (["classify", "--d", "-3"], "positive"),
+    (["classify", "--d", "12"], "squarefree"),
+    (["classify", "--d", str(2147483647**2)], "squarefree"),  # a prime square near 2^62
+    (["classify", "--d", str(2**63)], "2**63-1"),
+    (["classify", "--d", str(10**38)], "2**63-1"),
+    # an unknown kind, or a value that names no kind at all
+    *[(["scan", "--dmax", "10", "--kinds", k], "--kinds") for k in ("q8", ",,", "", " , ")],
+    (["scan", "--dmax", "0"], "--dmax"),
+    (["gamma", "--d", "7", "--kind", "d2"], "no maximal order"),
+    (["gamma", "--d", "3", "--kind", "d2"], "no maximal order"),
+    (["gamma", "--d", "12", "--kind", "d3"], "squarefree"),
+    (["verify", "--suite", "gamma", "--dmax", "0"], "--dmax"),
+    (["verify", "--suite", "gamma", "--dmax", "1000001"], "--dmax"),
+    (["verify", "--suite", "subgroups", "--height", "0"], "--height"),
+    (["verify", "--suite", "subgroups", "--height", "17"], "--height"),
+    # an option the suite does not read
+    *[
+        (["verify", "--suite", suite, option, "5"], option)
+        for suite, option in (
+            ("local", "--dmax"),
+            ("reciprocity", "--dmax"),
+            ("reciprocity", "--height"),
+            ("gamma", "--height"),
+            ("existence", "--height"),
+            ("autindex", "--height"),
+            ("local", "--height"),
+        )
+    ],
+    (["oracle", "subgroups", "--d", "1", "--height", "0"], "--height"),
+    (["oracle", "subgroups", "--d", "1", "--height", "17"], "--height"),
+    (["oracle", "subgroups", "--d", "0"], "positive"),
+    (["oracle", "subgroups", "--d", "-5"], "positive"),
+    (["oracle", "subgroups", "--d", "4"], "squarefree"),
+    (["oracle", "subgroups", "--d", str(2**63 - 1)], "squarefree"),
+    # the product of the primes to 37, whose ring constant breaks the float64
+    # bound of the pair search at height 10
+    (["oracle", "subgroups", "--d", "7420738134810"], "exact range"),
+    (local_count(p=2**63 + 29), "2**63-1"),
+    (local_count(p=1), "odd prime"),
+    (local_count(p=2), "odd prime"),
+    (local_count(p=4), "odd prime"),
+    (local_count(tau=0), "tau"),
+    (local_count(p=5), "not ramified"),
+    (local_count(p=1000003, d=1000003, exp=0), "tree vertices"),
+    (local_count(exp=4), "0..3"),
+    (local_count(d=12), "squarefree"),
+]
+
+
+def _count_unstable(p, k, tau, r):
+    raise PrecisionError("count unstable")
+
+
+# the embedding path's count doubled, so that the two paths disagree
+TWICE_COMPOSED = ("bianchi.classify.gamma_composed", lambda kind, d: 2 * gamma_composed(kind, d))
+UNSTABLE = ("bianchi.cli.count_maximal_orders_local", _count_unstable)
+
+# A fault row gives an argv, the patch that breaks what the call checks (a
+# target and its replacement, or None for a fault in the code as it is), and
+# what the call then prints: it exits 1 with the given stdout, as many FAIL
+# lines as given (or the one "internal check failed" line), and the given
+# first line on stderr.
+FAULTS = {
+    "gamma-paths-disagree": (
+        ["gamma", "--d", "5", "--kind", "d3"],
+        TWICE_COMPOSED,
+        "",
+        0,
+        "internal check failed: conjugacy-count paths disagree or give no power of 2 "
+        "for d3, d=5: closed form 4, embedding path 8",
+    ),
+    "verify-gamma-paths-disagree": (
+        ["verify", "--suite", "gamma", "--dmax", "5"],
+        TWICE_COMPOSED,
+        "suite gamma: 11 failure(s)\n",
+        11,
+        "FAIL: conjugacy-count paths disagree or give no power of 2 "
+        "for d3, d=1: closed form 2, embedding path 4",
+    ),
+    "classify-ramified-2-row": (
+        ["classify", "--d", "1"],
+        (
+            "bianchi.orders.local_embedding_count",
+            lambda q: 1
+            if q.p == 2 and q.split_type is SplitType.RAMIFIED
+            else local_embedding_count(q),
+        ),
+        "",
+        0,
+        "internal check failed: embedding-path count 2 not divisible by 6",
+    ),
+    "verify-existence-inverted": (
+        ["verify", "--suite", "existence", "--dmax", "10"],
+        ("bianchi.cli.contains_in_order", lambda *args: not contains_in_order(*args)),
+        "suite existence: 21 failure(s)\n",
+        21,
+        "FAIL: symbol/congruence mismatch: d3, d=1",
+    ),
+    "verify-autindex-r-capped": (
+        # an index that loses a factor 2 once sigma_k has two primes, as a cap
+        # of r at 1 would; no group algebra has two, so the gamma suite cannot
+        # see it
+        ["verify", "--suite", "autindex"],
+        (
+            "bianchi.cli.automorphism_index",
+            lambda F, k: automorphism_index(F, k) >> (len(_sigma_k_primes(F, k)) == 2),
+        ),
+        "suite autindex: 28 failure(s)\n",
+        28,
+        "FAIL: automorphism index/rank mismatch: d=23, QuaternionAlgebraQ({2, 3})",
+    ),
+    "verify-subgroups-witness-against-theory": (
+        ["verify", "--suite", "subgroups", "--dmax", "3"],
+        ("bianchi.cli.contains_in_psl2o", lambda kind, k: False),
+        "suite subgroups: 7 failure(s)\n",
+        7,
+        "FAIL: witness found but nonexistence predicted: d3, d=1",
+    ),
+    "verify-subgroups-height-shortfall": (
+        # the box of height 10 holds no tetrahedral group of d = 33
+        ["verify", "--suite", "subgroups", "--dmax", "33"],
+        None,
+        "suite subgroups: 1 failure(s)\n",
+        1,
+        "FAIL: no witness within height 10 although existence is predicted: t, d=33",
+    ),
+    "verify-local-r0-rows": (
+        ["verify", "--suite", "local"],
+        (
+            "bianchi.orders.local_embedding_count",
+            lambda q: 2 if q.index_exponent == 0 else local_embedding_count(q),
+        ),
+        "suite local: 4 failure(s)\n",
+        4,
+        "FAIL: tree count p=3, tau=1, r=0: got 1, table says 2",
+    ),
+    "verify-local-unstable": (
+        ["verify", "--suite", "local"],
+        UNSTABLE,
+        "suite local: 16 failure(s)\n",
+        16,
+        "FAIL: precision failure p=3, tau=1, r=0: count unstable",
+    ),
+    "local-count-unstable": (
+        local_count(), UNSTABLE, "", 0, "internal check failed: count unstable"
+    ),
 }
 
 
@@ -111,17 +289,58 @@ def test_cli_output_is_pinned(capsys, name):
         return
     argvs, digest = PINS[name]
     h = hashlib.sha256()
-    each = []  # on a mismatch, the digest of each call points to its argv
+    outs = []
     for argv in argvs:
         assert main(argv) == 0, argv
-        out = capsys.readouterr().out
+        outs.append(capsys.readouterr().out.encode())
+        h.update(outs[-1])
+    if h.hexdigest() == digest:
+        return
+    # the digest of each call points to its argv
+    each = []
+    for argv, out in zip(argvs, outs):
+        line = f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)}"
         if "json" in argv:  # the value of --format, the one argument "json"
-            dump = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
-            assert out == dump + "\n", argv
-        out = out.encode()
-        h.update(out)
-        each.append(f"{hashlib.sha256(out).hexdigest()}  {' '.join(argv)}")
-    assert h.hexdigest() == digest, "\n".join(each)
+            line += "  one key-sorted dump: " + ("yes" if is_one_dump(out) else "NO")
+        each.append(line)
+    pytest.fail("\n".join(each))
+
+
+def is_one_dump(out):
+    try:
+        doc = json.loads(out)
+    except ValueError:
+        return False
+    return out == json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "argv, word", USAGE_ROWS, ids=["_".join(a).replace(" ", "_") for a, _ in USAGE_ROWS]
+)
+def test_usage_error(capsys, argv, word):
+    start = time.perf_counter()
+    code = main(argv)
+    seconds = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out, err.count("\n")) == (2, "", 1), err
+    assert err.startswith("error: ") and word in err, err
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("name", FAULTS)
+def test_fault_is_reported(capsys, monkeypatch, name):
+    argv, patch, stdout, n_fail, first = FAULTS[name]
+    if "subgroups" in argv and not HAS_NUMPY:
+        assert_needs_numpy(capsys, argv)
+        return
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert (code, out, lines[0]) == (1, stdout, first), err
+    assert len(lines) == max(n_fail, 1), err
+    assert sum(line.startswith("FAIL: ") for line in lines) == n_fail, err
 
 
 @pytest.mark.parametrize(
