@@ -10,11 +10,10 @@ on mismatch, which serves as the library's built-in self test.
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .orders import IncompatibleIndexError, _order_type, automorphism_index
 from .orders import global_embedding_count, hilbert_character
-from .quadfield import ImagQuadField
+from .quadfield import FieldLike, _field
 from .quaternion import KINDS, MATRIX_ALGEBRA, SubgroupKind, group_algebra, sigma
 
 
@@ -26,8 +25,6 @@ class GammaMismatchError(RuntimeError):
     """The two independent conjugacy-count paths disagree (internal error)."""
 
 
-FieldLike = Union[int, ImagQuadField]
-
 SCHEMA_VERSION = "1.0"
 
 #: the paper's results behind every report
@@ -37,11 +34,6 @@ _PROVENANCE = (
     "local-embedding-count-tables",
     "conjugacy-class-count-formulas",
 )
-
-
-def _field(d: FieldLike) -> ImagQuadField:
-    # NonSquarefreeError propagates: every criterion assumes squarefree d
-    return d if isinstance(d, ImagQuadField) else ImagQuadField(d)
 
 
 def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
@@ -138,16 +130,23 @@ def gamma_composed(kind: SubgroupKind, d: FieldLike) -> int:
 def checked_gamma(kind: SubgroupKind, d: FieldLike) -> int:
     """The conjugacy count by both ``gamma`` and ``gamma_composed``, the one
     place where the two paths are compared: raises GammaMismatchError unless
-    they agree on a power of 2; a NoHostOrderError of the closed form propagates."""
-    closed = gamma(kind, d)
+    they agree on a power of 2, or on there being no host, which raises the
+    closed form's NoHostOrderError."""
+    k = _field(d)
     try:
-        embedded = gamma_composed(kind, d)
+        embedded = gamma_composed(kind, k)
     except NoHostOrderError:
         embedded = None
+    try:
+        closed = gamma(kind, k)
+    except NoHostOrderError:
+        if embedded is None:
+            raise
+        closed = None
     if closed != embedded or closed < 1 or closed & (closed - 1):
         raise GammaMismatchError(
             f"conjugacy-count paths disagree or give no power of 2 for {kind.value}, "
-            f"d={_field(d).d}: closed form {closed}, embedding path {embedded}"
+            f"d={k.d}: closed form {closed}, embedding path {embedded}"
         )
     return closed
 

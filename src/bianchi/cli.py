@@ -13,10 +13,9 @@ import argparse
 import json
 import sys
 from functools import cache, partial
-from math import isqrt
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .arith import _primes_upto, hilbert_symbol
+from .arith import hilbert_symbol, relevant_places
 from .classify import (
     SCHEMA_VERSION,
     GammaMismatchError,
@@ -29,7 +28,7 @@ from .classify import (
     NoHostOrderError,
 )
 from .orders import automorphism_index, ramified_pairing_rank
-from .quadfield import ImagQuadField
+from .quadfield import ImagQuadField, SplitType, squarefree_fields
 from .quaternion import (
     KINDS,
     QuaternionAlgebraQ,
@@ -45,9 +44,6 @@ from .oracle.localtree import (
 )
 from .oracle.subgroups import MAX_HEIGHT, NumpyMissingError, find_subgroup
 
-#: d per segment of the squarefree sieve, which bounds its memory at any dmax
-_SIEVE_SPAN = 1 << 12
-
 #: the height bound of the subgroup search when --height is not given
 _DEFAULT_HEIGHT = 10
 
@@ -62,32 +58,6 @@ def _check_height(height: Optional[int]) -> None:
     """None stands for the default height."""
     if height is not None and not 1 <= height <= MAX_HEIGHT:
         raise ValueError(f"--height must lie in 1..{MAX_HEIGHT}")
-
-
-def _squarefree_range(lo: int, hi: int) -> Iterator[ImagQuadField]:
-    """The fields of the squarefree d in lo..hi, in order, built one at a time
-    from a segmented sieve; no d is factored.
-
-    Each segment of _SIEVE_SPAN d divides out every prime p <= sqrt(hi) and
-    drops the d that some p^2 divides. What is left of a squarefree d is 1
-    or one prime above sqrt(hi).
-    """
-    base = _primes_upto(isqrt(hi))
-    for a in range(lo, hi + 1, _SIEVE_SPAN):
-        n = min(_SIEVE_SPAN, hi + 1 - a)
-        rest = list(range(a, a + n))  # 0 once d is known not squarefree
-        primes = [()] * n
-        for p in base:
-            for i in range(-a % (p * p), n, p * p):
-                rest[i] = 0
-            for i in range(-a % p, n, p):
-                if rest[i]:
-                    rest[i] //= p
-                    primes[i] += (p,)
-        for i, r in enumerate(rest):
-            if r:
-                ps = primes[i] + (r,) if r > 1 else primes[i]
-                yield ImagQuadField._from_primes(a + i, ps)
 
 
 def _dump(payload: dict) -> str:
@@ -142,7 +112,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         header = "d      " + "".join(f"{k.value:<5}" for k in kinds) + "gamma"
         print(header)
-    for k in _squarefree_range(1, args.dmax):
+    for k in squarefree_fields(1, args.dmax):
         report = classify_report(k)
         for j, i in enumerate(chosen):
             totals[j] += report["kinds"][i]["exists"]
@@ -192,8 +162,6 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 def _suite_reciprocity() -> list[str]:
     import random
 
-    from .arith import relevant_places
-
     rng = random.Random(20240917)
     failures = []
     for _ in range(1000):
@@ -210,7 +178,7 @@ def _suite_reciprocity() -> list[str]:
 def _range_failures(check: Callable[..., list[str]], dmax: int, **options) -> list[str]:
     """The failures of a per-field check, given the suite's other options,
     over the field of every squarefree d <= dmax, in order of d."""
-    return [f for k in _squarefree_range(1, dmax) for f in check(k, **options)]
+    return [f for k in squarefree_fields(1, dmax) for f in check(k, **options)]
 
 
 def _existence_failures_at(k: ImagQuadField) -> list[str]:
@@ -263,7 +231,7 @@ def _subgroup_failures_at(k: ImagQuadField, height: int) -> list[str]:
     failures = []
     for kind in KINDS:
         predicted = contains_in_psl2o(kind, k)
-        witness = find_subgroup(kind, k.d, height)
+        witness = find_subgroup(kind, k, height)
         if predicted and witness is None:
             failures.append(
                 f"no witness within height {height} although existence "
@@ -278,7 +246,6 @@ def _subgroup_failures_at(k: ImagQuadField, height: int) -> list[str]:
 
 def _suite_local() -> list[str]:
     from .orders import LocalCountQuery, local_embedding_count
-    from .quadfield import SplitType
 
     failures = []
     for p, d in ((3, 3), (5, 5)):
@@ -348,16 +315,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
     _check_height(args.height)
     height = _DEFAULT_HEIGHT if args.height is None else args.height
+    k = ImagQuadField(args.d)
     results = {}
     for kind in KINDS:
-        witness = find_subgroup(kind, args.d, height)
-        if witness is None:
-            results[kind.value] = None
-        else:
-            results[kind.value] = [
-                {e: list(m[2 * i : 2 * i + 2]) for i, e in enumerate("abcd")}
-                for m in witness.generators
-            ]
+        witness = find_subgroup(kind, k, height)
+        results[kind.value] = None if witness is None else [
+            {e: list(m[2 * i : 2 * i + 2]) for i, e in enumerate("abcd")}
+            for m in witness.generators
+        ]
     print(
         _dump(
             {

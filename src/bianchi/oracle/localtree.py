@@ -39,11 +39,11 @@ class PrecisionError(RuntimeError):
     """The vertex count changed when the working precision was raised."""
 
 
-#: The most tree vertices one count may visit. A count at index p^r visits
-#: the 1 + (p + 1)(p^(r+1) - 1)/(p - 1) vertices within distance r + 1, at
-#: about 10 us each, since only the few whose order contains the target
-#: are solved, so this keeps a count to a fraction of a second; it admits
-#: every r in 0..3 for p <= 11.
+#: The most tree vertices ``enumerate_vertices`` may list. There are
+#: 1 + (p + 1)(p^m - 1)/(p - 1) within distance m, and a count at index p^r
+#: visits those within distance r + 1, at about 10 us each, since only the
+#: few whose order contains the target are solved, so this keeps a count to
+#: a fraction of a second; it admits every r in 0..3 for p <= 11.
 MAX_VERTICES = 2 * 10**4
 
 
@@ -176,20 +176,27 @@ def enumerate_vertices(
 ) -> list[tuple[int, int, Pair]]:
     """All tree vertices at distance <= max_distance from the base class,
     as the entries (a, c, b) of the primitive upper-triangular transition
-    matrices (pi^a, b; 0, pi^c); a vertex lies at distance a + c."""
-    _validate_ramified(k, p)
-    out = []
-    for m in range(max_distance + 1):
-        for a in range(m + 1):
-            c = m - a
-            xs = p ** ((a + 1) // 2)
-            ys = p ** (a // 2)
-            for x in range(xs):
-                if a > 0 and c > 0 and x % p == 0:
-                    continue
-                for y in range(ys):
-                    out.append((a, c, (x, y)))
-    return out
+    matrices (pi^a, b; 0, pi^c); a vertex lies at distance a + c.
+    ValueError before any vertex is listed if there are more than
+    MAX_VERTICES of them."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if splitting(k, p) is not SplitType.RAMIFIED:
+        raise ValueError(f"p={p} is not ramified in Q(i*sqrt({k.d}))")
+    n_vertices = 1 + (p + 1) * (p**max_distance - 1) // (p - 1)
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(
+            f"p={p}, distance {max_distance}: {n_vertices} tree vertices, "
+            f"more than {MAX_VERTICES}"
+        )
+    return [
+        (a, m - a, (x, y))
+        for m in range(max_distance + 1)
+        for a in range(m + 1)
+        for x in range(p ** ((a + 1) // 2))
+        if not (0 < a < m and x % p == 0)
+        for y in range(p ** (a // 2))
+    ]
 
 
 def _vertex_matrix(d: int, a: int, c: int, b: Pair) -> Flat:
@@ -219,17 +226,8 @@ def _intersection(
 
 
 def _smallest_nonresidue(p: int) -> int:
-    for n in range(2, p):
-        if kronecker(n, p) == -1:
-            return n
-    raise ValueError(f"no quadratic non-residue mod {p}")
-
-
-def _validate_ramified(k: ImagQuadField, p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if splitting(k, p) is not SplitType.RAMIFIED:
-        raise ValueError(f"p={p} is not ramified in Q(i*sqrt({k.d}))")
+    """The least quadratic non-residue mod an odd prime p."""
+    return next(n for n in range(2, p) if kronecker(n, p) == -1)
 
 
 def _disc_valuation(mats: list[RMat], d: int, p: int) -> int:
@@ -343,9 +341,15 @@ def _vertex_holds(
 
 
 def _counts_at_precisions(
-    k: ImagQuadField, p: int, eps: int, r: int, precisions: tuple[int, ...]
+    k: ImagQuadField,
+    p: int,
+    eps: int,
+    r: int,
+    precisions: tuple[int, ...],
+    vertices: list[tuple[int, int, Pair]],
 ) -> list[int]:
-    """The vertex count at each working precision. A vertex whose order
+    """The vertex count at each working precision, over the vertices within
+    distance r + 1 of ``enumerate_vertices``. A vertex whose order
     does not contain the target cannot meet F(tau) in it, at any precision,
     so only the vertices whose order holds the _Frame's gens are solved.
     For those the conjugations J^-1 E_i J are computed once and shared;
@@ -355,7 +359,7 @@ def _counts_at_precisions(
     E, gens, v_L, target, volume = _frame(k, p, eps, r)
     target_dual = _dual(target, p)
     counts = [0] * len(precisions)
-    for a, c, b in enumerate_vertices(k, p, r + 1):
+    for a, c, b in vertices:
         J = _vertex_matrix(d, a, c, b)
         J_inv, _ = _minv(J, 0, -d)  # over d^m, and v_p(d^m) = m as p exactly divides d
         if not _vertex_holds(gens, d, p, J, J_inv, a + c):
@@ -380,23 +384,19 @@ def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> in
     against -d decides whether F(tau) splits); internally a unit
     representative of that class is used. The count is computed at working
     precision K = r + 3 and re-checked at K + 1; disagreement raises
-    PrecisionError. ValueError before any vertex is visited if there are
-    more than MAX_VERTICES of them.
+    PrecisionError. ValueError before any vertex is listed if there are
+    more than MAX_VERTICES of them within distance r + 1.
     """
-    _validate_ramified(k, p)
     if not 0 <= r <= 3:
         raise ValueError(f"r must lie in 0..3, got {r}")
-    n_vertices = 1 + (p + 1) * (p ** (r + 1) - 1) // (p - 1)
-    if n_vertices > MAX_VERTICES:
-        raise ValueError(
-            f"p={p}, r={r} needs {n_vertices} tree vertices, "
-            f"more than {MAX_VERTICES}"
-        )
+    vertices = enumerate_vertices(k, p, r + 1)
     if tau == 0 or valuation(tau, p) > 1:
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
     eps = _hilbert_symbol_at(tau, -k.d, p)
     K_prec = r + 3
-    first, second = _counts_at_precisions(k, p, eps, r, (K_prec, K_prec + 1))
+    first, second = _counts_at_precisions(
+        k, p, eps, r, (K_prec, K_prec + 1), vertices
+    )
     if first != second:
         raise PrecisionError(
             f"count unstable: {first} at K={K_prec}, {second} at K={K_prec + 1}"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
-from ..quadfield import ImagQuadField  # validates d squarefree
+from ..quadfield import FieldLike, ImagQuadField, _field
 from ..quaternion import SubgroupKind
 from .ring import Flat, _mdet, _mmul, _mtrace, _ring_constants, _scalar
 
@@ -64,9 +64,9 @@ def _mneg(A: Flat) -> Flat:
     return tuple(-x for x in A)  # type: ignore[return-value]
 
 
-def _exact_ring(d: int, H: int) -> tuple[int, int]:
-    """The ring constants (s, t) of a search with height bound H, once d is
-    squarefree, H lies in 0..MAX_HEIGHT and both numeric kernels are exact.
+def _exact_ring(k: ImagQuadField, H: int) -> tuple[int, int]:
+    """The ring constants (s, t) of a search in the field k with height bound
+    H, once H lies in 0..MAX_HEIGHT and both numeric kernels are exact.
 
     Let T = |t| >= 1; s is 0 or 1, and every coordinate of alpha, beta,
     gamma and delta is at most H in size.
@@ -82,13 +82,12 @@ def _exact_ring(d: int, H: int) -> tuple[int, int]:
     For H <= 16 the second bound is the tighter one: it admits T < 2^39 at
     H = 16, and so every d <= 10^6.
     """
-    ImagQuadField(d)
     if not 0 <= H <= MAX_HEIGHT:
         raise ValueError(f"height bound must lie in 0..{MAX_HEIGHT}, got {H}")
-    s, t = _ring_constants(d)
+    s, t = _ring_constants(k.d)
     if 16 * abs(t) * H**3 >= 2**63 or 64 * abs(t) * H**2 >= 2**53:
         raise ValueError(
-            f"d={d} at height {H} lies beyond the exact range of the search"
+            f"d={k.d} at height {H} lies beyond the exact range of the search"
         )
     return s, t
 
@@ -184,12 +183,13 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def enumerate_torsion_elements(d: int, H: int) -> list[Flat]:
+def enumerate_torsion_elements(d: FieldLike, H: int) -> list[Flat]:
     """All A in SL2(o) with |x|, |y| <= H in every entry and trace in
     {0, +1, -1}, without duplicates, in lexicographic order."""
-    _exact_ring(d, H)
+    k = _field(d)
+    _exact_ring(k, H)
     np = _numpy()
-    t0, t1 = _torsion_flat(d, H)
+    t0, t1 = _torsion_flat(k.d, H)
     s1 = -t1
     s1[:, (0, 6)] += 1  # sigma(A) = I - A on trace 1, and sigma(A) = -A on 0
     rows = np.concatenate((t0, -t0, t1, s1, -t1, -s1))  # all disjoint
@@ -314,7 +314,7 @@ def _witness(
 
 
 def find_subgroup(
-    kind: SubgroupKind, d: int, H: int
+    kind: SubgroupKind, d: FieldLike, H: int
 ) -> Optional[SubgroupWitness]:
     """First witness, in lexicographic order of (U, V), of the group type
     among height-bounded matrices; None when the bounded search is exhausted.
@@ -324,11 +324,12 @@ def find_subgroup(
     Absence is a value, not an error: the bound H caps the search, so None
     only certifies nonexistence within the box.
     """
-    s, t = _exact_ring(d, H)
+    k = _field(d)
+    s, t = _exact_ring(k, H)
     if kind is SubgroupKind.D3:
-        pair = _first_pair(d, H, 1)
+        pair = _first_pair(k.d, H, 1)
     else:
-        pair = _first_pair(d, H, 0, kind is SubgroupKind.T)
+        pair = _first_pair(k.d, H, 0, kind is SubgroupKind.T)
     if pair is None:
         return None
     witness = _witness(kind, *pair, s, t)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isqrt
+from typing import Iterator, Union
 
-from .arith import factorize, kronecker
+from .arith import _primes_upto, factorize, kronecker
 
 
 class NonSquarefreeError(ValueError):
@@ -31,9 +33,10 @@ class ImagQuadField:
     in the first case and D = -4d in the second.
 
     The field carries the primes of d, ascending, in ``primes``: d is
-    factored once, when the field is built, or its primes come from a sieve
-    (``_from_primes``). It also keeps the splitting of each prime that
-    ``splitting`` was asked about, in ``_splits``. Equality and hash are by d.
+    factored once, when the field is built, or its primes come from the
+    sieve of ``squarefree_fields``. It also keeps the splitting of each
+    prime that ``splitting`` was asked about, in ``_splits``. Equality and
+    hash are by d.
     """
 
     d: int
@@ -42,7 +45,7 @@ class ImagQuadField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_splits", {})
-        if "primes" in vars(self):  # set already by _from_primes
+        if "primes" in vars(self):  # set already by squarefree_fields
             return
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
@@ -50,18 +53,6 @@ class ImagQuadField:
         if any(e > 1 for _, e in fac.factors):
             raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
         object.__setattr__(self, "primes", fac.primes())
-
-    @classmethod
-    def _from_primes(cls, d: int, primes: tuple[int, ...]) -> "ImagQuadField":
-        """The field of a squarefree d >= 1 whose primes, ascending, a sieve
-        has found: d is neither factored nor validated again. The build
-        still goes through ``__post_init__``, like any other, so that a
-        wrapper of it (such as a tracer's) sees every build."""
-        k = object.__new__(cls)
-        object.__setattr__(k, "d", d)
-        object.__setattr__(k, "primes", primes)
-        k.__post_init__()
-        return k
 
     @property
     def discriminant(self) -> int:
@@ -71,9 +62,51 @@ class ImagQuadField:
         return self.primes if self.d % 4 in (2, 3) else (2,) + self.primes
 
 
+FieldLike = Union[int, ImagQuadField]
+
+#: d per segment of the squarefree sieve, which bounds its memory at any hi
+_SIEVE_SPAN = 1 << 12
+
+
 def make_field(d: int) -> ImagQuadField:
     """Build Q(i*sqrt(d)); d must be a squarefree positive integer."""
     return ImagQuadField(d)
+
+
+def _field(d: FieldLike) -> ImagQuadField:
+    # NonSquarefreeError propagates: every criterion assumes squarefree d
+    return d if isinstance(d, ImagQuadField) else ImagQuadField(d)
+
+
+def squarefree_fields(lo: int, hi: int) -> Iterator[ImagQuadField]:
+    """The fields of the squarefree d in lo..hi, lo >= 1, in order, built one
+    at a time from a segmented sieve; no d is factored.
+
+    Each segment of _SIEVE_SPAN d divides out every prime p <= sqrt(hi) and
+    drops the d that some p^2 divides. What is left of a squarefree d is 1
+    or one prime above sqrt(hi). Each field still goes through
+    ``__post_init__``, like any other, so that a wrapper of it (such as a
+    tracer's) sees every build.
+    """
+    base = _primes_upto(isqrt(hi))
+    for a in range(lo, hi + 1, _SIEVE_SPAN):
+        n = min(_SIEVE_SPAN, hi + 1 - a)
+        rest = list(range(a, a + n))  # 0 once d is known not squarefree
+        primes = [()] * n
+        for p in base:
+            for i in range(-a % (p * p), n, p * p):
+                rest[i] = 0
+            for i in range(-a % p, n, p):
+                if rest[i]:
+                    rest[i] //= p
+                    primes[i] += (p,)
+        for i, r in enumerate(rest):
+            if r:
+                k = object.__new__(ImagQuadField)
+                ps = primes[i] + (r,) if r > 1 else primes[i]
+                vars(k).update(d=a + i, primes=ps)
+                k.__post_init__()
+                yield k
 
 
 def splitting(k: ImagQuadField, p: int) -> SplitType:

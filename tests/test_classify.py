@@ -6,6 +6,7 @@ from bianchi.arith import factorize, is_prime, is_squarefree
 from bianchi.classify import (
     GammaMismatchError,
     NoHostOrderError,
+    checked_gamma,
     classify_report,
     contains_in_order,
     contains_in_psl2o,
@@ -334,9 +335,9 @@ def test_classify_report_runs_the_embedding_path(monkeypatch):
 
 def test_no_result_outlives_a_report(monkeypatch):
     from bianchi import orders
-    from bianchi.cli import _squarefree_range
+    from bianchi.quadfield import squarefree_fields
 
-    fields = [ImagQuadField(5), *(k for k in _squarefree_range(1, 5) if k.d == 5)]
+    fields = [ImagQuadField(5), *(k for k in squarefree_fields(1, 5) if k.d == 5)]
     assert len(fields) == 2
     for k in fields:
         assert classify_report(k) == classify_report(5)
@@ -377,3 +378,24 @@ def test_checked_gamma_rejects_a_host_only_the_embedding_path_denies(monkeypatch
     monkeypatch.setattr(classify, "gamma_composed", no_host)
     with pytest.raises(GammaMismatchError):
         classify.checked_gamma(SubgroupKind.D2MAX, 5)
+
+
+def test_checked_gamma_rejects_a_host_only_the_closed_form_denies(monkeypatch):
+    from bianchi import classify
+
+    real = classify.host_algebra_split
+
+    def no_d2_host(kind, d):
+        if kind is SubgroupKind.D2MAX:
+            raise NoHostOrderError("no host")
+        return real(kind, d)
+
+    monkeypatch.setattr(classify, "host_algebra_split", no_d2_host)
+    with pytest.raises(GammaMismatchError, match="closed form None, embedding path 1"):
+        classify.checked_gamma(SubgroupKind.D2MAX, 1)
+
+
+def test_checked_gamma_raises_the_closed_forms_no_host_when_both_paths_agree():
+    for d in (3, 7, 11, 15):
+        with pytest.raises(NoHostOrderError, match="no maximal order"):
+            checked_gamma(SubgroupKind.D2MAX, d)

@@ -4,8 +4,7 @@ import time
 import pytest
 
 from bianchi.arith import factorize, kronecker
-from bianchi.cli import _build_parser, _squarefree_range, main
-from bianchi.quadfield import ImagQuadField, NonSquarefreeError
+from bianchi.cli import _build_parser, main
 from bianchi.quaternion import sigma_k
 
 
@@ -78,40 +77,11 @@ def test_scan_json_is_the_same_across_sieve_segments(capsys, monkeypatch):
     # holds it whole
     outputs = []
     for span in (4096, 64):
-        monkeypatch.setattr("bianchi.cli._SIEVE_SPAN", span)
+        monkeypatch.setattr("bianchi.quadfield._SIEVE_SPAN", span)
         code, out, _ = run(capsys, "scan", "--dmax", "2000", "--format", "json")
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
-
-
-@pytest.mark.parametrize("lo, hi", [(1, 5000), (10**6 - 2000, 10**6)])
-def test_sieved_fields_match_factored_fields(lo, hi):
-    expected = []
-    for d in range(lo, hi + 1):
-        try:
-            expected.append(ImagQuadField(d))
-        except NonSquarefreeError:
-            continue
-    sieved = list(_squarefree_range(lo, hi))
-    assert [k.d for k in sieved] == [k.d for k in expected]
-    for k, ref in zip(sieved, expected):
-        assert k.primes == ref.primes, k.d
-
-
-def test_sieved_fields_are_built_through_post_init(monkeypatch):
-    # a wrapper of __post_init__, such as a tracer's, sees every sieved build
-    built = []
-    post_init = ImagQuadField.__post_init__
-
-    def counted(self):
-        built.append(self.d)
-        post_init(self)
-
-    monkeypatch.setattr(ImagQuadField, "__post_init__", counted)
-    fields = list(_squarefree_range(1, 100))
-    assert len(fields) == 61
-    assert built == [k.d for k in fields]
 
 
 def test_scan_row_count(capsys):

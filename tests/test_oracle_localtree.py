@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bianchi.arith import Place, hilbert_symbol, valuation
+from bianchi.arith import Place, hilbert_symbol, is_prime, valuation
 from bianchi.cli import main
 from bianchi.oracle import localtree
 from bianchi.oracle.localtree import (
@@ -135,7 +135,8 @@ def test_counts_p3_d3(tau, expected):
 def test_count_stable_under_extra_precision():
     k = ImagQuadField(3)
     eps = hilbert_symbol(-1, -3, Place(3))
-    counts = _counts_at_precisions(k, 3, eps, 2, (5, 6, 7))
+    vertices = enumerate_vertices(k, 3, 3)
+    counts = _counts_at_precisions(k, 3, eps, 2, (5, 6, 7), vertices)
     assert counts == [count_maximal_orders_local(3, k, -1, 2)] * 3
 
 
@@ -170,6 +171,28 @@ def test_validation_errors():
         count_maximal_orders_local(3, k3, 9, 1)  # v_3(9) = 2
     with pytest.raises(ValueError):
         count_maximal_orders_local(3, k3, 0, 1)
+
+
+def test_enumerate_vertices_refuses_a_ball_beyond_the_bound():
+    # within distance 8 of a 3-adic tree lie 13,121 vertices, within 9 39,365
+    k3 = ImagQuadField(3)
+    assert len(enumerate_vertices(k3, 3, 8)) == 13121
+    with pytest.raises(ValueError, match="39365 tree vertices, more than 20000"):
+        enumerate_vertices(k3, 3, 9)
+
+
+def test_a_count_tests_p_once_and_lists_its_ball_once(record_calls, monkeypatch):
+    k3 = ImagQuadField(3)
+    listed = []
+
+    def recording(*args):
+        listed.append(args)
+        return enumerate_vertices(*args)
+
+    monkeypatch.setattr(localtree, "enumerate_vertices", recording)
+    seen = record_calls(is_prime)
+    assert count_maximal_orders_local(3, k3, -1, 2) == 6
+    assert (seen, listed) == ([3], [(k3, 3, 3)])
 
 
 def test_counts_match_tables_at_p7():

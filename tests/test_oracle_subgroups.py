@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -22,6 +23,7 @@ from bianchi.oracle.subgroups import (
     find_subgroup,
     verify_witness,
 )
+from bianchi.quadfield import ImagQuadField
 from bianchi.quaternion import SubgroupKind
 
 KINDS = (SubgroupKind.D3, SubgroupKind.T, SubgroupKind.D2MAX)
@@ -336,15 +338,52 @@ def test_a_range_suite_keeps_one_torsion_table(capsys):
     assert (info.misses, info.hits) == (19, 2 * 19)
 
 
+def test_the_subgroup_commands_search_the_fields_they_hold(capsys, monkeypatch):
+    # the suite searches the fields of its sieve, and the oracle the one field
+    # of its d: neither builds another nor factors d
+    from bianchi import quadfield
+
+    built, factored = [], []
+    post_init = ImagQuadField.__post_init__
+    factorize = quadfield.factorize
+
+    def counted(self):
+        built.append(self.d)
+        post_init(self)
+
+    def counted_factorize(n):
+        factored.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(ImagQuadField, "__post_init__", counted)
+    monkeypatch.setattr(quadfield, "factorize", counted_factorize)
+    assert main(["verify", "--suite", "subgroups"]) == 0
+    assert capsys.readouterr().out == "suite subgroups: pass\n"
+    assert (len(built), factored) == (19, [])
+    built.clear()
+    assert main(["oracle", "subgroups", "--d", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["d"] == 5
+    assert built == [5]
+
+
+def test_the_search_takes_a_field_or_its_d():
+    k = ImagQuadField(6)
+    assert enumerate_torsion_elements(k, 3) == enumerate_torsion_elements(6, 3)
+    for kind in KINDS:
+        assert find_subgroup(kind, k, 6) == find_subgroup(kind, 6, 6)
+    with pytest.raises(ValueError, match="squarefree"):
+        find_subgroup(SubgroupKind.D3, 12, 6)
+
+
 def test_exactness_guard_rejects_large_d():
     with pytest.raises(ValueError, match="exact range"):
         enumerate_torsion_elements(BEYOND_EXACT_D, 10)
     for kind in KINDS:
         with pytest.raises(ValueError, match="exact range"):
             find_subgroup(kind, BEYOND_EXACT_D, 10)
-    assert _exact_ring(BEYOND_EXACT_D, 1) == (0, -BEYOND_EXACT_D)
+    assert _exact_ring(ImagQuadField(BEYOND_EXACT_D), 1) == (0, -BEYOND_EXACT_D)
 
 
 def test_exactness_guard_admits_every_d_up_to_a_million():
     d = LARGEST_ADMITTED_D
-    assert _exact_ring(d, MAX_HEIGHT) == (0, -d)
+    assert _exact_ring(ImagQuadField(d), MAX_HEIGHT) == (0, -d)

@@ -20,7 +20,12 @@ import time
 
 import pytest
 
-from bianchi.classify import contains_in_order, gamma_composed
+from bianchi.classify import (
+    NoHostOrderError,
+    contains_in_order,
+    gamma_composed,
+    host_algebra_split,
+)
 from bianchi.cli import main
 from bianchi.oracle.localtree import PrecisionError
 from bianchi.orders import automorphism_index, local_embedding_count
@@ -178,6 +183,13 @@ def _count_unstable(p, k, tau, r):
     raise PrecisionError("count unstable")
 
 
+def _no_d2_host_at_1_mod_4(kind, k):
+    # the closed form's host, denied where only the embedding path finds one
+    if kind.value == "d2" and k.d % 4 == 1:
+        raise NoHostOrderError("no host")
+    return host_algebra_split(kind, k)
+
+
 # the embedding path's count doubled, so that the two paths disagree
 TWICE_COMPOSED = ("bianchi.classify.gamma_composed", lambda kind, d: 2 * gamma_composed(kind, d))
 UNSTABLE = ("bianchi.cli.count_maximal_orders_local", _count_unstable)
@@ -203,6 +215,14 @@ FAULTS = {
         11,
         "FAIL: conjugacy-count paths disagree or give no power of 2 "
         "for d3, d=1: closed form 2, embedding path 4",
+    ),
+    "verify-gamma-host-denied-by-one-path": (
+        ["verify", "--suite", "gamma", "--dmax", "10"],
+        ("bianchi.classify.host_algebra_split", _no_d2_host_at_1_mod_4),
+        "suite gamma: 2 failure(s)\n",
+        2,
+        "FAIL: conjugacy-count paths disagree or give no power of 2 "
+        "for d2, d=1: closed form None, embedding path 1",
     ),
     "classify-ramified-2-row": (
         ["classify", "--d", "1"],

@@ -12,11 +12,13 @@ from bianchi.arith import (
 )
 from bianchi.orders import hilbert_character
 from bianchi.quadfield import (
+    ImagQuadField,
     NonSquarefreeError,
     SplitType,
     is_ideal_norm,
     make_field,
     splitting,
+    squarefree_fields,
 )
 
 SQUAREFREE = [d for d in range(1, 101) if is_squarefree(d)]
@@ -119,3 +121,32 @@ def test_is_ideal_norm_multiplicative_on_coprimes(d, a, b):
         return
     k = make_field(d)
     assert is_ideal_norm(a * b, k) == (is_ideal_norm(a, k) and is_ideal_norm(b, k))
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 5000), (10**6 - 2000, 10**6)])
+def test_sieved_fields_match_factored_fields(lo, hi):
+    expected = []
+    for d in range(lo, hi + 1):
+        try:
+            expected.append(ImagQuadField(d))
+        except NonSquarefreeError:
+            continue
+    sieved = list(squarefree_fields(lo, hi))
+    assert [k.d for k in sieved] == [k.d for k in expected]
+    for k, ref in zip(sieved, expected):
+        assert k.primes == ref.primes, k.d
+
+
+def test_sieved_fields_are_built_through_post_init(monkeypatch):
+    # a wrapper of __post_init__, such as a tracer's, sees every sieved build
+    built = []
+    post_init = ImagQuadField.__post_init__
+
+    def counted(self):
+        built.append(self.d)
+        post_init(self)
+
+    monkeypatch.setattr(ImagQuadField, "__post_init__", counted)
+    fields = list(squarefree_fields(1, 100))
+    assert len(fields) == 61
+    assert built == [k.d for k in fields]
