@@ -15,6 +15,7 @@ from .orders import IncompatibleIndexError, _order_type, automorphism_index
 from .orders import global_embedding_count, hilbert_character
 from .quadfield import FieldLike, _field
 from .quaternion import KINDS, MATRIX_ALGEBRA, SubgroupKind, group_algebra, sigma
+from .quaternion import _D3, _T
 
 
 class NoHostOrderError(ValueError):
@@ -42,9 +43,9 @@ def failing_primes(kind: SubgroupKind, d: FieldLike) -> list[int]:
     for all odd p | d; maximal D2 needs p = 1 mod 4 for all odd p | d.
     """
     primes = _field(d).primes
-    if kind is SubgroupKind.D3:
+    if kind is _D3:
         return [p for p in primes if p != 3 and p % 3 != 1]
-    if kind is SubgroupKind.T:
+    if kind is _T:
         return [p for p in primes if p != 2 and p % 8 not in (1, 3)]
     return [p for p in primes if p != 2 and p % 4 != 1]
 
@@ -76,9 +77,9 @@ def host_algebra_split(kind: SubgroupKind, d: FieldLike) -> bool:
     is always split); otherwise NoHostOrderError is raised.
     """
     d = _field(d).d
-    if kind is SubgroupKind.D3:
+    if kind is _D3:
         return d % 3 != 2
-    if kind is SubgroupKind.T:
+    if kind is _T:
         return d % 8 != 7
     if d % 4 == 3:
         raise NoHostOrderError(
@@ -98,7 +99,7 @@ def gamma(kind: SubgroupKind, d: FieldLike) -> int:
     """
     k = _field(d)
     host = host_algebra_split(kind, k)  # raises for D2, d = 3 mod 4
-    if kind is SubgroupKind.D3:
+    if kind is _D3:
         t = len(k.discriminant_primes()) - (k.d % 3 == 0)
         doubles = not host and all(p % 12 in (1, 11) for p in k.primes if p != 2)
     else:  # the host of maximal D2 is split

@@ -10,7 +10,7 @@ the automorphism index of a maximal order.
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .arith import (
     INFINITY,
@@ -22,6 +22,7 @@ from .arith import (
     valuation,
 )
 from .quadfield import ImagQuadField, SplitType, is_ideal_norm, splitting
+from .quadfield import _INERT, _SPLIT
 from .quaternion import MATRIX_ALGEBRA, QuaternionAlgebraQ, sigma, sigma_k
 from .quaternion import _sigma_k_primes
 
@@ -38,29 +39,38 @@ def _index_class(n: int) -> int:
 
 
 def hilbert_character(m: int, k: ImagQuadField) -> frozenset[Place]:
-    """The character v -> (m, -d)_v, the one evaluator of that symbol,
-    given by the set of places where it is -1. Reciprocity makes that set
-    even.
+    """The character v -> (m, -d)_v, given by the set of places where it is
+    -1. Reciprocity makes that set even.
 
     The symbol can be -1 only at oo, 2 and the primes of m and d, so only
-    those places are evaluated; d's primes are read from the field, and
-    m's from its factorization, which rejects m = 0. A positive square m
-    gives the empty set, the trivial character.
+    those places are evaluated, by ``_minus_one_primes``, the one home of
+    that place set; d's primes are read from the field, and m's from its
+    factorization, which rejects m = 0. A positive square m gives the empty
+    set, the trivial character.
     """
     return _hilbert_character(m, k, factorize(m).primes())
+
+
+def _minus_one_primes(
+    m: int, k: ImagQuadField, primes: Iterable[int]
+) -> Iterator[int | None]:
+    """The primes p, None for oo, with (m, -d)_p = -1, one at a time, out of
+    oo, 2, the primes of d and the given primes, already proven prime: these
+    must hold every other place where the symbol may be -1."""
+    minus_d = -k.d
+    for p in {None, 2, *primes, *k.primes}:
+        if _hilbert_symbol_at(m, minus_d, p) == -1:
+            yield p
 
 
 def _hilbert_character(
     m: int, k: ImagQuadField, primes: Iterable[int]
 ) -> frozenset[Place]:
-    """hilbert_character of m, evaluated at oo, 2, the primes of d and the
-    given primes, already proven prime: these must hold every other place
-    where (m, -d)_v may be -1."""
-    minus_d = -k.d
+    """hilbert_character of m, with the places that ``_minus_one_primes``
+    evaluates for the given primes."""
     return frozenset(
         INFINITY if p is None else _proven_place(p)
-        for p in {None, 2, *primes, *k.primes}
-        if _hilbert_symbol_at(m, minus_d, p) == -1
+        for p in _minus_one_primes(m, k, primes)
     )
 
 
@@ -191,9 +201,9 @@ def local_embedding_count(q: LocalCountQuery) -> int:
     e = q.index_exponent
     if e < 0:
         raise ValueError("index exponent must be nonnegative")
-    if q.split_type is SplitType.SPLIT:
+    if q.split_type is _SPLIT:
         return 1 if e == 0 else 2
-    if q.split_type is SplitType.INERT:
+    if q.split_type is _INERT:
         if e % 2:
             raise ValueError("inert primes only admit even index exponents")
         return 1 if (e == 0 and q.algebra_split) else 2
@@ -234,7 +244,7 @@ def global_embedding_count(lam: int, F: QuaternionAlgebraQ, k: ImagQuadField) ->
     count = 1
     for p in ram if rest == 1 else {*ram, *factorize(rest).primes()}:
         split = splitting(k, p)
-        if lam % p == 0 or (p in ram and split is SplitType.INERT):
+        if lam % p == 0 or (p in ram and split is _INERT):
             d_mod4 = k.d % 4 if p == 2 else None
             q = LocalCountQuery(p, split, p not in ram, valuation(lam, p), d_mod4)
             count *= local_embedding_count(q)
@@ -242,17 +252,20 @@ def global_embedding_count(lam: int, F: QuaternionAlgebraQ, k: ImagQuadField) ->
 
 
 def unit_character_divisors(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
-    """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place."""
+    """Divisors f of sigma_k(F) with (f, -d)_v = +1 at every place, ascending.
+    The test of each f stops at the first place where the symbol is -1."""
     qs = _sigma_k_primes(F, k)
     if not qs:
         return [1]  # 1 is a square: its character is trivial
     # each prime of sigma_k splits in k, so -d is a square there and no symbol
     # (f, -d) can be -1 at it: only oo, 2 and the primes of d are evaluated
-    return [1] + [
-        f
-        for f in _divisors_of_primes(qs)[1:]
-        if not _hilbert_character(f, k, ())
-    ]
+    trivial = [1]
+    for f in _divisors_of_primes(qs)[1:]:
+        for _ in _minus_one_primes(f, k, ()):
+            break  # a -1: the character of f is not trivial
+        else:
+            trivial.append(f)
+    return trivial
 
 
 def ramified_pairing_rank(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:

@@ -20,6 +20,11 @@ class SplitType(enum.Enum):
     RAMIFIED = "ramified"
 
 
+# The members as module constants, which the report path compares against:
+# on Python 3.10 and 3.11 a load of SplitType.X goes through EnumType's
+# __getattr__ and costs about ten times a global load.
+_SPLIT, _INERT = SplitType.SPLIT, SplitType.INERT
+
 #: the splitting of p in k by the Kronecker symbol (D/p)
 _BY_SYMBOL = {1: SplitType.SPLIT, -1: SplitType.INERT, 0: SplitType.RAMIFIED}
 
@@ -133,6 +138,6 @@ def is_ideal_norm(lam: int, k: ImagQuadField) -> bool:
         while rest % p == 0:
             rest //= p
     return rest == 1 or all(
-        e % 2 == 0 or splitting(k, p) is not SplitType.INERT
+        e % 2 == 0 or splitting(k, p) is not _INERT
         for p, e in factorize(rest).factors
     )

@@ -19,7 +19,7 @@ from .arith import (
     relevant_places,
     squarefree_part,
 )
-from .quadfield import ImagQuadField, SplitType, splitting
+from .quadfield import _SPLIT, ImagQuadField, splitting
 
 
 class SubgroupKind(enum.Enum):
@@ -33,6 +33,9 @@ class SubgroupKind(enum.Enum):
     # hashes each by its name in Python on every dict lookup
     __hash__ = object.__hash__
 
+
+# the members as module constants, for the reason given at quadfield._SPLIT
+_D3, _T = SubgroupKind.D3, SubgroupKind.T
 
 #: the kinds in the order of every report, scan row and listing
 KINDS = tuple(SubgroupKind)
@@ -97,7 +100,13 @@ def sigma_k(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
 def _sigma_k_primes(F: QuaternionAlgebraQ, k: ImagQuadField) -> list[int]:
     """The primes of sigma_k(F, k), ascending, read off the splitting in k
     of F's finite ramified primes, without factoring sigma_k."""
-    return [p for p in F.finite_ramified if splitting(k, p) is SplitType.SPLIT]
+    # a plain loop: a report runs this 8 times, and a list comprehension
+    # costs a frame of its own before Python 3.12
+    primes = []
+    for p in F.finite_ramified:
+        if splitting(k, p) is _SPLIT:
+            primes.append(p)
+    return primes
 
 
 def normalize_tau(tau: int, k: ImagQuadField) -> int:

@@ -15,6 +15,7 @@ from bianchi.arith import (
     squarefree_part,
 )
 from bianchi.classify import contains_in_order
+from bianchi.cli import _autindex_algebras
 from bianchi.orders import (
     IncompatibleIndexError,
     LocalCountQuery,
@@ -25,12 +26,13 @@ from bianchi.orders import (
     intersection_character,
     joint_intersection_factor,
     local_embedding_count,
+    _divisors_of_primes,
     _index_class,
     maximal_orders_isomorphic,
     ramified_pairing_rank,
     unit_character_divisors,
 )
-from bianchi.quadfield import SplitType, make_field
+from bianchi.quadfield import SplitType, make_field, squarefree_fields
 from bianchi.quaternion import (
     MATRIX_ALGEBRA,
     SubgroupKind,
@@ -39,6 +41,7 @@ from bianchi.quaternion import (
     sigma,
     sigma_k,
 )
+from bianchi.quaternion import _sigma_k_primes
 from solver_oracle import hilbert_symbol_by_search
 
 FD3 = group_algebra(SubgroupKind.D3).algebra
@@ -194,13 +197,7 @@ def test_unit_character_divisors_evaluates_nothing_when_sigma_k_is_1(
 
 
 # the algebras of the autindex suite, whose sigma_k has up to two primes
-AUTINDEX_ALGEBRAS = (
-    FD3,
-    FT,
-    from_hilbert_pair(-1, 3),
-    from_hilbert_pair(2, 5),
-    from_hilbert_pair(-1, 7),
-)
+AUTINDEX_ALGEBRAS = _autindex_algebras()
 
 
 def _divisors(n):
@@ -230,6 +227,16 @@ def test_unit_character_divisors_lists_the_trivial_characters():
             sk = sigma_k(F, k)
             trivial = [f for f in _divisors(sk) if not hilbert_character(f, k)]
             assert unit_character_divisors(F, k) == trivial, (d, F)
+
+
+def test_unit_character_divisors_stops_only_at_a_minus_one():
+    # the test of each divisor ends at its first -1; the full character, a
+    # frozenset of places, is trivial for exactly the divisors it keeps
+    for k in squarefree_fields(1, 2000):
+        for F in AUTINDEX_ALGEBRAS:
+            divisors = _divisors_of_primes(_sigma_k_primes(F, k))
+            trivial = [f for f in divisors if not hilbert_character(f, k)]
+            assert unit_character_divisors(F, k) == trivial, (k.d, F)
 
 
 def test_hilbert_character_rejects_zero():

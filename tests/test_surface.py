@@ -161,3 +161,29 @@ def test_the_packages_reexport_only_what_acceptance_imports():
     assert [ast.unparse(node) for node in package[1:]] == []
     oracle = {name for module, name in _acceptance_imports() if module == "bianchi.oracle"}
     assert modules["bianchi.oracle"].imports.keys() == oracle
+
+
+#: the modules a report runs through, and the enums whose members they test
+REPORT_MODULES = ("quadfield", "quaternion", "orders", "classify")
+ENUMS = ("SplitType", "SubgroupKind")
+
+
+def test_no_function_on_the_report_path_loads_an_enum_member():
+    # On Python 3.10 and 3.11 a load such as SplitType.INERT costs about ten
+    # times a global load, so the functions compare against the module
+    # constants that their enum's module binds; module-level statements run
+    # once and may load members.
+    modules = _package_modules()
+    loads = set()
+    for name in REPORT_MODULES:
+        for fn in ast.walk(modules[f"bianchi.{name}"].tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ENUMS
+                ):
+                    loads.add(f"{name}.py:{node.lineno}: {ast.unparse(node)}")
+    assert sorted(loads) == []
