@@ -2,7 +2,8 @@
 suites, and oracle runs, with machine-readable JSON output.
 
 Exit codes: 0 success, 1 verification or internal failure, 2 usage error
-or, for the subgroup oracle and suite, numpy missing.
+or, for the subgroup oracle and suite, numpy missing, 141 stdout closed
+before the output ended (as for a process that SIGPIPE killed).
 JSON output is versioned ("1.0"), key-sorted, and byte-stable for a fixed
 input; the table renderings carry no stability contract.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -411,7 +413,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end as a process that SIGPIPE killed, and
+        # send what is still buffered to os.devnull, so that the interpreter's
+        # last flush raises nothing either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, NumpyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,17 @@ target order of index p^r is O + O * Pi^r * Omega.
 Vertices of the tree at distance m from a base lattice class are the
 classes h*J*o^2 for J = (pi^a, b; 0, pi^c), a + c = m, b a residue mod
 pi^a, with J not divisible by pi. A vertex can meet F(tau) in the target
-only if its maximal order contains the target, so each vertex is first
-tested for that: J^-1 Y J must be integral for the target's generators Y.
-Only the few vertices that pass are solved: the intersection of F(tau)
-with the attached maximal order is computed exactly, by solving the
-integrality conditions as linear congruences mod p^K, and compared with the
-target p-locally. Every computation is in integers, in the arithmetic of
+only if its maximal order contains the target: J^-1 Y J must be integral
+for the target's generators Y. These vertices are convex (Serre, Trees,
+II.1; Vigneras, LNM 800, ch. II): with two of them, every vertex on the
+path between them contains their Eichler intersection, and so the target.
+They form a subtree through the base, so a breadth-first walk from the
+base that steps only past vertices that pass finds every one within
+distance r + 1, and tests about p others for each one it finds. Only the
+vertices that pass are solved: the intersection of F(tau) with the
+attached maximal order is computed exactly, by solving the integrality
+conditions as linear congruences mod p^K, and compared with the target
+p-locally. Every computation is in integers, in the arithmetic of
 ``ring`` over Z[pi] with (s, t) = (0, -d): an element u + w*pi is the pair
 (u, w), a matrix the flat 8-tuple of its entries, and a rational matrix an
 integer numerator over one integer denominator, so J^-1 = adj(J) *
@@ -26,6 +31,8 @@ repeating the count at K + 1.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from math import gcd
 from operator import mul
 from typing import NamedTuple
@@ -39,11 +46,11 @@ class PrecisionError(RuntimeError):
     """The vertex count changed when the working precision was raised."""
 
 
-#: The most tree vertices ``enumerate_vertices`` may list. There are
-#: 1 + (p + 1)(p^m - 1)/(p - 1) within distance m, and a count at index p^r
-#: visits those within distance r + 1, at about 10 us each, since only the
-#: few whose order contains the target are solved, so this keeps a count to
-#: a fraction of a second; it admits every r in 0..3 for p <= 11.
+#: The most tree vertices a count may reach. There are 1 + (p + 1)(p^m -
+#: 1)/(p - 1) within distance m, and a count at index p^r looks within
+#: distance r + 1; it admits every r in 0..3 for p <= 11. The walk visits
+#: far fewer, but its size is not known before it ends, so the bound is on
+#: the ball, checked before any vertex is visited.
 MAX_VERTICES = 2 * 10**4
 
 
@@ -171,32 +178,27 @@ def _lattice(mats: list[RMat], tau: int, p: int) -> Lattice:
     return rows, e
 
 
-def enumerate_vertices(
-    k: ImagQuadField, p: int, max_distance: int
+def _children(
+    d: int, p: int, a: int, c: int, b: Pair
 ) -> list[tuple[int, int, Pair]]:
-    """All tree vertices at distance <= max_distance from the base class,
-    as the entries (a, c, b) of the primitive upper-triangular transition
-    matrices (pi^a, b; 0, pi^c); a vertex lies at distance a + c.
-    ValueError before any vertex is listed if there are more than
-    MAX_VERTICES of them."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if splitting(k, p) is not SplitType.RAMIFIED:
-        raise ValueError(f"p={p} is not ramified in Q(i*sqrt({k.d}))")
-    n_vertices = 1 + (p + 1) * (p**max_distance - 1) // (p - 1)
-    if n_vertices > MAX_VERTICES:
-        raise ValueError(
-            f"p={p}, distance {max_distance}: {n_vertices} tree vertices, "
-            f"more than {MAX_VERTICES}"
-        )
-    return [
-        (a, m - a, (x, y))
-        for m in range(max_distance + 1)
-        for a in range(m + 1)
-        for x in range(p ** ((a + 1) // 2))
-        if not (0 < a < m and x % p == 0)
-        for y in range(p ** (a // 2))
-    ]
+    """The neighbours one step further from the base of the vertex with
+    transition matrix (pi^a, b; 0, pi^c), at distance a + c. A residue b mod
+    pi^a is the pair (x, y) for x + y*pi with x mod p^ceil(a/2) and y mod
+    p^floor(a/2), and b = 0 when a = 0; b is a unit when a, c > 0, which
+    keeps the matrix primitive. Each child J' of J has J^-1 J' integral of
+    determinant pi (up to a unit), so it is a neighbour."""
+    if a == 0:
+        return [
+            (0, c + 1, (0, 0)),
+            *((1, c, (z, 0)) for z in range(c > 0, p)),
+        ]
+    # b + pi^a * z for z mod p, with pi^a = (-d)^(a // 2) * pi^(a % 2)
+    x, y = b
+    step = (-d) ** (a // 2)
+    mod_x, mod_y = p ** ((a + 2) // 2), p ** ((a + 1) // 2)
+    if a % 2:
+        return [(a + 1, c, (x, (y + z * step) % mod_y)) for z in range(p)]
+    return [(a + 1, c, ((x + z * step) % mod_x, y)) for z in range(p)]
 
 
 def _vertex_matrix(d: int, a: int, c: int, b: Pair) -> Flat:
@@ -340,30 +342,43 @@ def _vertex_holds(
     return True
 
 
-def _counts_at_precisions(
-    k: ImagQuadField,
-    p: int,
-    eps: int,
-    r: int,
-    precisions: tuple[int, ...],
-    vertices: list[tuple[int, int, Pair]],
-) -> list[int]:
-    """The vertex count at each working precision, over the vertices within
-    distance r + 1 of ``enumerate_vertices``. A vertex whose order
-    does not contain the target cannot meet F(tau) in it, at any precision,
-    so only the vertices whose order holds the _Frame's gens are solved.
-    For those the conjugations J^-1 E_i J are computed once and shared;
-    each precision solves its own intersection lattice and compares it
-    with the target."""
-    d = k.d
-    E, gens, v_L, target, volume = _frame(k, p, eps, r)
-    target_dual = _dual(target, p)
-    counts = [0] * len(precisions)
-    for a, c, b in vertices:
+def _held_vertices(
+    gens: list[tuple[Flat, int]], d: int, p: int, r: int
+) -> Iterator[tuple[int, int, Flat, Flat]]:
+    """(a, c, J, J_inv) for each vertex within distance r + 1 whose order
+    holds the _Frame's gens, breadth first from the base.
+
+    The vertices whose order contains the target form a subtree: two
+    maximal orders that contain it meet in an Eichler order that contains
+    it, and that order lies in every maximal order on the path between
+    them. The base lies in it, as _frame checks. So a vertex whose order
+    does not hold the target has no descendant whose order does, and the
+    walk expands the _children of the holding vertices only."""
+    queue = deque([(0, 0, (0, 0))])
+    while queue:
+        a, c, b = queue.popleft()
         J = _vertex_matrix(d, a, c, b)
         J_inv, _ = _minv(J, 0, -d)  # over d^m, and v_p(d^m) = m as p exactly divides d
         if not _vertex_holds(gens, d, p, J, J_inv, a + c):
             continue
+        yield a, c, J, J_inv
+        if a + c <= r:
+            queue.extend(_children(d, p, a, c, b))
+
+
+def _counts_at_precisions(
+    k: ImagQuadField, p: int, eps: int, r: int, precisions: tuple[int, ...]
+) -> list[int]:
+    """The vertex count at each working precision, over the _held_vertices.
+    A vertex whose order does not contain the target cannot meet F(tau) in
+    it, at any precision, so no other vertex is solved. For each the
+    conjugations J^-1 E_i J are computed once and shared; each precision
+    solves its own intersection lattice and compares it with the target."""
+    d = k.d
+    E, gens, v_L, target, volume = _frame(k, p, eps, r)
+    target_dual = _dual(target, p)
+    counts = [0] * len(precisions)
+    for a, c, J, J_inv in _held_vertices(gens, d, p, r):
         conj = [_conjugate(d, J_inv, X, J) for X in E]
         for i, K_prec in enumerate(precisions):
             lat, lat_volume = _intersection(conj, v_L + a + c, p, K_prec)
@@ -384,19 +399,26 @@ def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> in
     against -d decides whether F(tau) splits); internally a unit
     representative of that class is used. The count is computed at working
     precision K = r + 3 and re-checked at K + 1; disagreement raises
-    PrecisionError. ValueError before any vertex is listed if there are
+    PrecisionError. ValueError before any vertex is visited if there are
     more than MAX_VERTICES of them within distance r + 1.
     """
     if not 0 <= r <= 3:
         raise ValueError(f"r must lie in 0..3, got {r}")
-    vertices = enumerate_vertices(k, p, r + 1)
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if splitting(k, p) is not SplitType.RAMIFIED:
+        raise ValueError(f"p={p} is not ramified in Q(i*sqrt({k.d}))")
+    n_vertices = 1 + (p + 1) * (p ** (r + 1) - 1) // (p - 1)
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(
+            f"p={p}, distance {r + 1}: {n_vertices} tree vertices, "
+            f"more than {MAX_VERTICES}"
+        )
     if tau == 0 or valuation(tau, p) > 1:
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
     eps = _hilbert_symbol_at(tau, -k.d, p)
     K_prec = r + 3
-    first, second = _counts_at_precisions(
-        k, p, eps, r, (K_prec, K_prec + 1), vertices
-    )
+    first, second = _counts_at_precisions(k, p, eps, r, (K_prec, K_prec + 1))
     if first != second:
         raise PrecisionError(
             f"count unstable: {first} at K={K_prec}, {second} at K={K_prec + 1}"

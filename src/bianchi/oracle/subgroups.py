@@ -24,7 +24,11 @@ and trace(sigma(U)*V) = trace(U*sigma(V)) = -trace(U*V), and every pair
 with trace(U*V) = 0 and the parity of 2W its kind asks for passes the
 checks, so the lexicographically first witness has its U in the half, and
 its V too, as each V of the trace-0 half precedes -V: the search pairs
-half with half and takes the first hit.
+half with half and takes the first hit. T and maximal D2 share one pass
+over the triangle above the diagonal of the trace-0 half times itself:
+trace-0 U and V with trace(U*V) = 0 anticommute, so (V, U) is a pair too,
+with a W of the same integrality, and no U pairs with itself. D3 pairs the
+trace-1 half with the trace-0 half.
 """
 
 from __future__ import annotations
@@ -196,11 +200,14 @@ def enumerate_torsion_elements(d: FieldLike, H: int) -> list[Flat]:
     return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
-def _first_pair(
-    d: int, H: int, trace: int, integral: Optional[bool] = None
-) -> Optional[tuple[Flat, Flat]]:
-    """The lexicographically first pair (U, V) with trace(U) = trace,
-    trace(V) = 0 and trace(U*V) = 0, or None.
+# one entry, as for _torsion_flat: find_subgroup asks for the three kinds of
+# one (d, H) in a row
+@lru_cache(maxsize=1)
+def _first_pairs(d: int, H: int) -> dict[SubgroupKind, tuple[Flat, Flat]]:
+    """The lexicographically first pair (U, V) of each kind that has one:
+    for D3, trace(U) = 1; for T and D2MAX, trace(U) = 0, with W = (1 - U -
+    V - UV)/2 integral for T and not for D2MAX; in each, trace(V) = 0 and
+    trace(U*V) = 0. A kind without a pair has no key.
 
     The search multiplies half by half and takes the row-major first hit.
     For a trace-0 V, sigma(V) = -V, so trace(sigma(U)*V) = trace(U*sigma(V))
@@ -209,17 +216,22 @@ def _first_pair(
     first pair has U in the half, and V too: the first nonzero coordinate
     of each V of the trace-0 half is negative, so V precedes -V.
 
+    T and D2MAX share one pass over a triangle of the trace-0 half times
+    itself. For trace-0 U and V, trace(U*V) = trace(V*U); when it is 0 they
+    anticommute, so 2W for (V, U) is 2W for (U, V) plus 2*U*V, of the same
+    parity. With trace(U*U) = -2, no pair lies on the diagonal, so the first
+    pair of either kind lies above it, and the rows from lo on need only the
+    columns from lo on.
+
     The two coordinates of trace(U*V) are vec(U).M.vec(V) for two 8x8
     integer forms M, evaluated on a float64 copy within the bound of
-    _exact_ring: the x coordinate as one product of a block of U with every
-    V, the y coordinate only where the x coordinate is 0. With integral
-    given, only the pairs whose W = (1 - U - V - UV)/2 is, or is not,
-    integral are kept: the parity of 2W is evaluated on the int64 entries
-    and ring constants mod 2, which leave it unchanged.
+    _exact_ring: the x coordinate as one product of a block of U with the
+    Vs, the y coordinate only where the x coordinate is 0. The parity of 2W
+    is evaluated on the int64 entries and ring constants mod 2, which leave
+    it unchanged.
     """
     np = _numpy()
-    tables = _torsion_flat(d, H)
-    left, right = tables[trace], tables[0]
+    t0, t1 = _torsion_flat(d, H)
     s, t = _ring_constants(d)
     Mx, My = np.zeros((8, 8)), np.zeros((8, 8))
     # trace(UV) = aU*aV + bU*cV + cU*bV + dU*dV, entry slots (a,b,c,d)=(0,2,4,6)
@@ -229,22 +241,41 @@ def _first_pair(
         My[i][j + 1] += 1
         My[i + 1][j] += 1
         My[i + 1][j + 1] += s
-    A, B = left.astype(np.float64), right.astype(np.float64)
+    B = t0.astype(np.float64)
     BxT = (B @ Mx.T).T
     By = B @ My.T
-    chunk = max(1, _CHUNK // max(1, len(right)))
-    for lo in range(0, len(A), chunk):
-        i, j = np.nonzero((A[lo : lo + chunk] @ BxT) == 0.0)  # row-major
+    chunk = max(1, _CHUNK // max(1, len(t0)))
+
+    def zeros(A: np.ndarray, lo: int, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (i, j), in row-major order, with i in the block of rows from
+        lo and j >= first, at which trace(U*V) = 0."""
+        i, j = np.nonzero((A[lo : lo + chunk] @ BxT[:, first:]) == 0.0)
         i += lo
+        j += first
         y_zero = np.einsum("ij,ij->i", A[i], By[j]) == 0.0
-        i, j = i[y_zero], j[y_zero]
-        if integral is not None:
-            U, V = tuple((left[i] & 1).T), tuple((right[j] & 1).T)
-            _, even = _half_extension(U, V, s & 1, t & 1)
-            i, j = i[even == integral], j[even == integral]
+        return i[y_zero], j[y_zero]
+
+    def pair(U: np.ndarray, V: np.ndarray) -> tuple[Flat, Flat]:
+        return tuple(U.tolist()), tuple(V.tolist())
+
+    pairs: dict[SubgroupKind, tuple[Flat, Flat]] = {}
+    A = t1.astype(np.float64)
+    for lo in range(0, len(A), chunk):
+        i, j = zeros(A, lo, 0)
         if len(i):
-            return tuple(left[i[0]].tolist()), tuple(right[j[0]].tolist())
-    return None
+            pairs[SubgroupKind.D3] = pair(t1[i[0]], t0[j[0]])
+            break
+    for lo in range(0, len(B), chunk):
+        if SubgroupKind.T in pairs and SubgroupKind.D2MAX in pairs:
+            break
+        i, j = zeros(B, lo, lo)
+        U, V = tuple((t0[i] & 1).T), tuple((t0[j] & 1).T)
+        _, even = _half_extension(U, V, s & 1, t & 1)
+        for kind, hits in ((SubgroupKind.T, even), (SubgroupKind.D2MAX, ~even)):
+            if kind not in pairs and hits.any():
+                n = hits.argmax()
+                pairs[kind] = pair(t0[i[n]], t0[j[n]])
+    return pairs
 
 
 def _half_extension(U: Flat, V: Flat, s: int, t: int) -> tuple[Flat, bool]:
@@ -326,10 +357,7 @@ def find_subgroup(
     """
     k = _field(d)
     s, t = _exact_ring(k, H)
-    if kind is SubgroupKind.D3:
-        pair = _first_pair(k.d, H, 1)
-    else:
-        pair = _first_pair(k.d, H, 0, kind is SubgroupKind.T)
+    pair = _first_pairs(k.d, H).get(kind)
     if pair is None:
         return None
     witness = _witness(kind, *pair, s, t)

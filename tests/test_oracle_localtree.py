@@ -7,21 +7,22 @@ from bianchi.arith import Place, hilbert_symbol, is_prime, valuation
 from bianchi.cli import main
 from bianchi.oracle import localtree
 from bianchi.oracle.localtree import (
+    _children,
     _congruence_lattice,
     _conjugate,
     _counts_at_precisions,
     _det,
     _dual,
     _frame,
+    _held_vertices,
     _inside,
     _intersection,
     _smallest_nonresidue,
     _vertex_holds,
     _vertex_matrix,
     count_maximal_orders_local,
-    enumerate_vertices,
 )
-from bianchi.oracle.ring import _minv
+from bianchi.oracle.ring import _minv, _scalar
 from bianchi.orders import LocalCountQuery, local_embedding_count
 from bianchi.quadfield import ImagQuadField, SplitType
 
@@ -105,16 +106,38 @@ def test_det_matches_cofactor_expansion():
     assert _det([[0, 1], [1, 0]]) == -1
 
 
-@pytest.mark.parametrize("p,d", [(3, 3), (5, 5)])
+def enumerate_vertices(p, max_distance):
+    """All tree vertices at distance <= max_distance from the base class,
+    as the entries (a, c, b) of the primitive upper-triangular transition
+    matrices (pi^a, b; 0, pi^c); a vertex lies at distance a + c. The full
+    ball, the reference for the walk of the counts."""
+    return [
+        (a, m - a, (x, y))
+        for m in range(max_distance + 1)
+        for a in range(m + 1)
+        for x in range(p ** ((a + 1) // 2))
+        if not (0 < a < m and x % p == 0)
+        for y in range(p ** (a // 2))
+    ]
+
+
+@pytest.mark.parametrize(
+    "p,d", [(3, 3), (5, 5), (3, 15), (5, 10), (5, 15), (7, 7)]
+)
 def test_vertex_counts_per_distance(p, d):
-    k = ImagQuadField(d)
-    vertices = enumerate_vertices(k, p, 3)
+    vertices = enumerate_vertices(p, 3)
     by_dist = {}
     for a, c, _ in vertices:
         by_dist[a + c] = by_dist.get(a + c, 0) + 1
     assert by_dist[0] == 1
     for m in (1, 2, 3):
         assert by_dist[m] == (p + 1) * p ** (m - 1)
+    # the children of the walk, expanded everywhere, rebuild the ball once
+    walked, layer = [], [(0, 0, (0, 0))]
+    for _ in range(5):
+        walked += layer
+        layer = [child for v in layer for child in _children(d, p, *v)]
+    assert sorted(walked) == sorted(enumerate_vertices(p, 4))
 
 
 def test_count_r0_is_one():
@@ -135,8 +158,7 @@ def test_counts_p3_d3(tau, expected):
 def test_count_stable_under_extra_precision():
     k = ImagQuadField(3)
     eps = hilbert_symbol(-1, -3, Place(3))
-    vertices = enumerate_vertices(k, 3, 3)
-    counts = _counts_at_precisions(k, 3, eps, 2, (5, 6, 7), vertices)
+    counts = _counts_at_precisions(k, 3, eps, 2, (5, 6, 7))
     assert counts == [count_maximal_orders_local(3, k, -1, 2)] * 3
 
 
@@ -173,26 +195,35 @@ def test_validation_errors():
         count_maximal_orders_local(3, k3, 0, 1)
 
 
-def test_enumerate_vertices_refuses_a_ball_beyond_the_bound():
-    # within distance 8 of a 3-adic tree lie 13,121 vertices, within 9 39,365
+def test_a_count_refuses_a_ball_beyond_the_bound(record_calls, monkeypatch):
+    # within distance 4 of an 11-adic tree lie 17,569 vertices, of a 13-adic
+    # tree 33,321; the refusal comes before any vertex is visited
+    visited = []
+    monkeypatch.setattr(localtree, "_vertex_holds", lambda *args: visited.append(args))
+    seen = record_calls(is_prime)
+    for p, n in ((13, 33321), (101, 106141609)):
+        with pytest.raises(
+            ValueError, match=f"p={p}, distance 4: {n} tree vertices, more than 20000"
+        ):
+            count_maximal_orders_local(p, ImagQuadField(p), 1, 3)
+    assert (seen, visited) == ([13, 101], [])
+
+
+def test_a_count_tests_p_once_and_each_vertex_once(record_calls, monkeypatch):
     k3 = ImagQuadField(3)
-    assert len(enumerate_vertices(k3, 3, 8)) == 13121
-    with pytest.raises(ValueError, match="39365 tree vertices, more than 20000"):
-        enumerate_vertices(k3, 3, 9)
+    tested = []
 
+    def recording(gens, d, p, J, J_inv, m):
+        tested.append(J)
+        return _vertex_holds(gens, d, p, J, J_inv, m)
 
-def test_a_count_tests_p_once_and_lists_its_ball_once(record_calls, monkeypatch):
-    k3 = ImagQuadField(3)
-    listed = []
-
-    def recording(*args):
-        listed.append(args)
-        return enumerate_vertices(*args)
-
-    monkeypatch.setattr(localtree, "enumerate_vertices", recording)
+    monkeypatch.setattr(localtree, "_vertex_holds", recording)
     seen = record_calls(is_prime)
     assert count_maximal_orders_local(3, k3, -1, 2) == 6
-    assert (seen, listed) == ([3], [(k3, 3, 3)])
+    assert seen == [3]
+    # the base twice: once for the maximal order in _frame, once in the walk
+    assert tested[0] == tested[1] == _scalar(1)
+    assert len(set(tested[1:])) == len(tested) - 1 < len(enumerate_vertices(3, 3))
 
 
 def test_counts_match_tables_at_p7():
@@ -218,12 +249,13 @@ def test_counts_match_tables_at_p11():
 
 def _full_ball(k, p, tau, r, precisions):
     """The _frame of a count, and for every vertex within distance r + 1
-    whether it passes _vertex_holds and its intersection lattice solved at
-    each precision, whether it passes or not: the unfiltered reference."""
+    its transition matrix J, whether it passes _vertex_holds and its
+    intersection lattice solved at each precision, whether it passes or
+    not: the unfiltered reference."""
     d = k.d
     frame = _frame(k, p, hilbert_symbol(tau, -d, Place(p)), r)
     vertices = []
-    for a, c, b in enumerate_vertices(k, p, r + 1):
+    for a, c, b in enumerate_vertices(p, r + 1):
         J = _vertex_matrix(d, a, c, b)
         J_inv, _ = _minv(J, 0, -d)
         conj = [_conjugate(d, J_inv, X, J) for X in frame.E]
@@ -232,12 +264,13 @@ def _full_ball(k, p, tau, r, precisions):
             _intersection(conj, frame.v_L + a + c, p, K_prec)
             for K_prec in precisions
         ]
-        vertices.append((held, solved))
+        vertices.append((J, held, solved))
     return frame, vertices
 
 
 @pytest.mark.parametrize(
-    "p,d,r_max", [(3, 3, 3), (5, 5, 3), (3, 15, 3), (5, 10, 3), (7, 7, 2)]
+    "p,d,r_max",
+    [(3, 3, 3), (5, 5, 3), (3, 15, 3), (5, 10, 3), (7, 7, 2), (7, 7, 3), (11, 11, 3)],
 )
 def test_prefilter_keeps_the_counts_of_the_full_ball(p, d, r_max):
     k = ImagQuadField(d)
@@ -248,12 +281,16 @@ def test_prefilter_keeps_the_counts_of_the_full_ball(p, d, r_max):
             counts = [
                 sum(
                     volume == frame.volume and _inside(lat, target_dual, p)
-                    for lat, volume in (solved[i] for _, solved in vertices)
+                    for lat, volume in (solved[i] for _, _, solved in vertices)
                 )
                 for i in range(2)
             ]
             assert counts[0] == counts[1], (tau, r)
             assert counts[0] == count_maximal_orders_local(p, k, tau, r), (tau, r)
+            # the walk finds each vertex of the ball that holds the target, once
+            walked = [J for _, _, J, _ in _held_vertices(frame.gens, d, p, r)]
+            held = [J for J, held, _ in vertices if held]
+            assert sorted(walked) == sorted(held), (tau, r)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -263,27 +300,33 @@ def test_prefilter_passes_exactly_where_the_lattice_holds_the_target(p):
     for tau in (1, _smallest_nonresidue(p)):
         for r in range(4):
             frame, vertices = _full_ball(k, p, tau, r, (r + 3,))
-            for held, [(lat, _)] in vertices:
+            for _, held, [(lat, _)] in vertices:
                 assert held == _inside(frame.target, _dual(lat, p), p), (tau, r)
                 passed += held
     # the filter is neither empty nor everything
-    assert 0 < passed < 2 * len(enumerate_vertices(k, p, 4))
+    assert 0 < passed < 2 * len(enumerate_vertices(p, 4))
 
 
 def test_verify_local_solves_each_passing_vertex_at_two_precisions(
     capsys, monkeypatch
 ):
-    solves = []
+    solves, tests = [], []
 
     def recording(conj, scale, p, K_prec):
         solves.append((tuple(conj), scale, K_prec))
         return _intersection(conj, scale, p, K_prec)
 
+    def holds(*args):
+        tests.append(args[3])
+        return _vertex_holds(*args)
+
     monkeypatch.setattr(localtree, "_intersection", recording)
+    monkeypatch.setattr(localtree, "_vertex_holds", holds)
     assert main(["verify", "--suite", "local"]) == 0
     assert capsys.readouterr().out == "suite local: pass\n"
-    # the 16 counts visit 2,808 vertices; solving every one at K and K + 1
-    # would take 5,616 solves
-    assert len(solves) == 268
+    # the 16 counts' balls hold 2,808 vertices; solving every one at K and
+    # K + 1 would take 5,616 solves. The walk tests 586 of them, and each
+    # count's _frame tests its base once more
+    assert (len(tests), len(solves)) == (602, 268)
     for first, second in zip(solves[::2], solves[1::2]):
         assert first[:2] == second[:2] and second[2] == first[2] + 1

@@ -14,7 +14,7 @@ from bianchi.oracle.subgroups import (
     _check_d2_pair,
     _check_d3,
     _exact_ring,
-    _first_pair,
+    _first_pairs,
     _half_extension,
     _mneg,
     _torsion_flat,
@@ -241,15 +241,18 @@ def test_the_half_search_loses_no_pair():
     # the search multiplies sigma-halves only: every pair with trace(UV) = 0
     # stands for (sigma(U), V), (U, -V) and (sigma(U), -V), which have
     # trace(UV) = 0 too, the same integral W when trace(U) = 0, and pass
-    # the checks of their kind as (U, V) does; and its first hit is the
-    # first pair of the plain loops over the full tables
+    # the checks of their kind as (U, V) does. T and D2MAX read the triangle
+    # above the diagonal only: no trace-0 U has trace(UU) = 0, and (V, U) is
+    # a pair with a 2W of the parity of (U, V)'s. Its first hit of each kind
+    # is the first pair of the plain loops over the full tables
     n_pairs = 0
     for d in (d for d in range(1, 31) if is_squarefree(d)):
         s, t = _ring_constants(d)
         for H in (1, 2, 3):
             t0, t1 = _loop_torsion(d, H)
+            assert all(_mtrace(_mmul(U, U, s, t)) == (-2, 0) for U in t0), (d, H)
+            firsts = {}  # the first pair of each kind
             for tr, lefts in ((0, t0), (1, t1)):
-                firsts = {}  # the first pair, by integral W
                 for U, sU in zip(lefts, _sigma(lefts, tr)):
                     for V in t0:
                         if _mtrace(_mmul(U, V, s, t)) != (0, 0):
@@ -261,18 +264,15 @@ def test_the_half_search_loses_no_pair():
                         integral = {_half_extension(A, B, s, t)[1] for A, B in orbit}
                         if tr == 1:
                             kind = SubgroupKind.D3
-                        elif integral == {True}:
-                            kind = SubgroupKind.T
                         else:
-                            assert integral == {False}, (d, U, V)
-                            kind = SubgroupKind.D2MAX
+                            assert _mtrace(_mmul(V, U, s, t)) == (0, 0), (d, U, V)
+                            mirror = _half_extension(V, U, s, t)[1]
+                            assert integral == {mirror}, (d, U, V)
+                            kind = SubgroupKind.T if mirror else SubgroupKind.D2MAX
                         for A, B in orbit:
                             assert _witness(kind, A, B, s, t) is not None, (d, A, B)
-                        firsts.setdefault(None, (U, V))
-                        firsts.setdefault(kind is SubgroupKind.T, (U, V))
-                for integral in (None, True, False) if tr == 0 else (None,):
-                    got = _first_pair(d, H, tr, integral)
-                    assert got == firsts.get(integral), (d, H, tr, integral)
+                        firsts.setdefault(kind, (U, V))
+            assert _first_pairs(d, H) == firsts, (d, H)
     assert n_pairs == 8124  # from d in {1, 2, 3, 5, 6, 7, 10, 11, 19} only
 
 
@@ -328,14 +328,17 @@ def test_torsion_digest_is_pinned():
 
 
 def test_a_range_suite_keeps_one_torsion_table(capsys):
-    # every (d, H) is asked for in a row, so the cache needs one entry only
+    # every (d, H) is asked for in a row, so each cache needs one entry only
+    _first_pairs.cache_clear()
     _torsion_flat.cache_clear()
     assert main(["verify", "--suite", "subgroups", "--dmax", "30"]) == 0
     assert capsys.readouterr().out == "suite subgroups: pass\n"
-    info = _torsion_flat.cache_info()
-    assert info.currsize <= 1
-    # 19 squarefree d <= 30, each computed once for its three kinds
-    assert (info.misses, info.hits) == (19, 2 * 19)
+    # 19 squarefree d <= 30: each searched once for its three kinds, and
+    # each table computed once, for that search
+    pairs, torsion = _first_pairs.cache_info(), _torsion_flat.cache_info()
+    assert (pairs.currsize, torsion.currsize) == (1, 1)
+    assert (pairs.misses, pairs.hits) == (19, 2 * 19)
+    assert (torsion.misses, torsion.hits) == (19, 0)
 
 
 def test_the_subgroup_commands_search_the_fields_they_hold(capsys, monkeypatch):

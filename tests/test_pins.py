@@ -16,10 +16,15 @@ subgroup commands exit 2 naming it:
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import bianchi
 from bianchi.classify import (
     NoHostOrderError,
     contains_in_order,
@@ -361,6 +366,21 @@ def test_fault_is_reported(capsys, monkeypatch, name):
     assert (code, out, lines[0]) == (1, stdout, first), err
     assert len(lines) == max(n_fail, 1), err
     assert sum(line.startswith("FAIL: ") for line in lines) == n_fail, err
+
+
+def test_a_closed_stdout_ends_the_cli_quietly():
+    # a reader that stops early, as `scan --dmax 100000 | head -1` does: the
+    # call exits 141, as a process that SIGPIPE killed, with nothing on stderr
+    src = str(Path(bianchi.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "bianchi.cli", "scan", "--dmax", "100000"]
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        assert proc.stdout.readline().split() == [b"d", b"d3", b"t", b"d2", b"gamma"]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize(
