@@ -1,5 +1,6 @@
-"""Command line surface: classification reports, range scans, verification
-suites, and oracle runs, with machine-readable JSON output.
+"""Command line surface: option parsing and printing for classification
+reports, range scans, the verification suites of ``bianchi.verify``, and
+oracle runs, with machine-readable JSON output.
 
 Exit codes: 0 success, 1 verification or internal failure, 2 usage error
 or, for the subgroup oracle and suite, numpy missing, 141 stdout closed
@@ -14,46 +15,30 @@ import argparse
 import json
 import os
 import sys
-from functools import cache, partial
-from typing import Callable, NamedTuple, Optional, Sequence
+from functools import cache
+from typing import Optional, Sequence
 
-from .arith import hilbert_symbol, relevant_places
 from .classify import (
     SCHEMA_VERSION,
     GammaMismatchError,
     checked_gamma,
     classify_report,
-    contains_in_order,
-    contains_in_psl2o,
     dump_row,
     host_algebra_split,
-    NoHostOrderError,
 )
-from .orders import automorphism_index, ramified_pairing_rank
-from .quadfield import ImagQuadField, SplitType, squarefree_fields
-from .quaternion import (
-    KINDS,
-    QuaternionAlgebraQ,
-    SubgroupKind,
-    _sigma_k_primes,
-    from_hilbert_pair,
-    group_algebra,
-)
-from .oracle.localtree import (
-    PrecisionError,
-    _smallest_nonresidue,
-    count_maximal_orders_local,
-)
-from .oracle.subgroups import MAX_HEIGHT, NumpyMissingError, find_subgroup
-
-#: the height bound of the subgroup search when --height is not given
-_DEFAULT_HEIGHT = 10
+from .quadfield import ImagQuadField, squarefree_fields
+from .quaternion import KINDS, SubgroupKind
+from .oracle.localtree import PrecisionError, count_maximal_orders_local
+from .oracle.subgroups import DEFAULT_HEIGHT, MAX_HEIGHT, NumpyMissingError
+from .oracle.subgroups import find_subgroup
+from .verify import SUITES
 
 
-def _check_dmax(dmax: Optional[int]) -> None:
-    """None stands for a suite's default range."""
-    if dmax is not None and not 1 <= dmax <= 10**6:
-        raise ValueError("--dmax must lie in 1..10^6")
+def _check_dmax(dmax: Optional[int], ceiling: Optional[int]) -> None:
+    """None stands for a suite's default range, and ceiling is the largest dmax."""
+    if dmax is not None and not 1 <= dmax <= ceiling:
+        shown = "10^6" if ceiling == 10**6 else ceiling
+        raise ValueError(f"--dmax must lie in 1..{shown}")
 
 
 def _check_height(height: Optional[int]) -> None:
@@ -89,7 +74,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _check_dmax(args.dmax)
+    _check_dmax(args.dmax, 10**6)
     # the positions in KINDS, and so in each report's kinds, of the kinds shown
     chosen = range(len(KINDS))
     if args.kinds is not None:  # left out, it means every kind
@@ -158,143 +143,8 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- verification suites -------------------------------------------------
-
-
-def _suite_reciprocity() -> list[str]:
-    import random
-
-    rng = random.Random(20240917)
-    failures = []
-    for _ in range(1000):
-        a = rng.randint(1, 10**6) * rng.choice((1, -1))
-        b = rng.randint(1, 10**6) * rng.choice((1, -1))
-        prod = 1
-        for v in relevant_places(a, b):
-            prod *= hilbert_symbol(a, b, v)
-        if prod != 1:
-            failures.append(f"reciprocity fails for ({a}, {b})")
-    return failures
-
-
-def _range_failures(check: Callable[..., list[str]], dmax: int, **options) -> list[str]:
-    """The failures of a per-field check, given the suite's other options,
-    over the field of every squarefree d <= dmax, in order of d."""
-    return [f for k in squarefree_fields(1, dmax) for f in check(k, **options)]
-
-
-def _existence_failures_at(k: ImagQuadField) -> list[str]:
-    return [
-        f"symbol/congruence mismatch: {kind.value}, d={k.d}"
-        for kind in KINDS
-        if contains_in_order(kind, 1, k) != contains_in_psl2o(kind, k)
-    ]
-
-
-def _gamma_failures_at(k: ImagQuadField) -> list[str]:
-    failures = []
-    for kind in KINDS:
-        try:
-            checked_gamma(kind, k)
-        except NoHostOrderError:
-            continue
-        except GammaMismatchError as exc:
-            failures.append(str(exc))
-    return failures
-
-
-@cache
-def _autindex_algebras() -> tuple[QuaternionAlgebraQ, ...]:
-    """The algebras of the autindex suite, built once per process."""
-    return (
-        group_algebra(SubgroupKind.D3).algebra,
-        group_algebra(SubgroupKind.T).algebra,
-        from_hilbert_pair(-1, 3),
-        from_hilbert_pair(2, 5),
-        from_hilbert_pair(-1, 7),
-    )
-
-
-def _autindex_failures_at(k: ImagQuadField) -> list[str]:
-    """automorphism_index, whose s counts the trivial-character divisors of
-    sigma_k, against 2^(t+r+s-1) with s = r - rank, where rank is the GF(2)
-    rank of the ramified pairing: 2^(t + 2r - rank - 1)."""
-    t = len(k.discriminant_primes())
-    failures = []
-    for F in _autindex_algebras():
-        r = len(_sigma_k_primes(F, k))
-        s = r - ramified_pairing_rank(F, k)
-        if automorphism_index(F, k) != 1 << (t + r + s - 1):
-            failures.append(f"automorphism index/rank mismatch: d={k.d}, {F}")
-    return failures
-
-
-def _subgroup_failures_at(k: ImagQuadField, height: int) -> list[str]:
-    failures = []
-    for kind in KINDS:
-        predicted = contains_in_psl2o(kind, k)
-        witness = find_subgroup(kind, k, height)
-        if predicted and witness is None:
-            failures.append(
-                f"no witness within height {height} although existence "
-                f"is predicted: {kind.value}, d={k.d}"
-            )
-        if not predicted and witness is not None:
-            failures.append(
-                f"witness found but nonexistence predicted: {kind.value}, d={k.d}"
-            )
-    return failures
-
-
-def _suite_local() -> list[str]:
-    from .orders import LocalCountQuery, local_embedding_count
-
-    failures = []
-    for p, d in ((3, 3), (5, 5)):
-        k = ImagQuadField(d)
-        for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
-            for r in range(4):
-                expected = local_embedding_count(
-                    LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
-                )
-                try:
-                    got = count_maximal_orders_local(p, k, tau, r)
-                except PrecisionError as exc:
-                    failures.append(f"precision failure p={p}, tau={tau}, r={r}: {exc}")
-                    continue
-                if got != expected:
-                    failures.append(
-                        f"tree count p={p}, tau={tau}, r={r}: got {got}, "
-                        f"table says {expected}"
-                    )
-    return failures
-
-
-class _Suite(NamedTuple):
-    """A verify suite and the defaults of the options it reads; None marks
-    an option the suite does not read, which is then rejected."""
-
-    run: Callable[..., list[str]]
-    dmax: Optional[int] = None
-    height: Optional[int] = None
-
-
-_SUITES = {
-    "reciprocity": _Suite(_suite_reciprocity),
-    "existence": _Suite(partial(_range_failures, _existence_failures_at), dmax=1000),
-    "gamma": _Suite(partial(_range_failures, _gamma_failures_at), dmax=500),
-    "autindex": _Suite(partial(_range_failures, _autindex_failures_at), dmax=200),
-    "subgroups": _Suite(
-        partial(_range_failures, _subgroup_failures_at),
-        dmax=30,
-        height=_DEFAULT_HEIGHT,
-    ),
-    "local": _Suite(_suite_local),
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = _SUITES[args.suite]
+    suite = SUITES[args.suite]
     options = {}
     for name, default in (("dmax", suite.dmax), ("height", suite.height)):
         given = getattr(args, name)
@@ -302,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             options[name] = default if given is None else given
         elif given is not None:
             raise ValueError(f"suite {args.suite} does not read --{name}")
-    _check_dmax(args.dmax)
+    _check_dmax(args.dmax, suite.max_dmax)
     _check_height(args.height)
     failures = suite.run(**options)
     if failures:
@@ -316,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
     _check_height(args.height)
-    height = _DEFAULT_HEIGHT if args.height is None else args.height
+    height = DEFAULT_HEIGHT if args.height is None else args.height
     k = ImagQuadField(args.d)
     results = {}
     for kind in KINDS:
@@ -385,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gamma.set_defaults(func=cmd_gamma)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=sorted(_SUITES), required=True)
+    p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--dmax", type=int, default=None)
     p_verify.add_argument("--height", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

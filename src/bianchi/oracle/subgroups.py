@@ -45,6 +45,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_HEIGHT = 16
+#: the height bound of a search when the CLI is given none
+DEFAULT_HEIGHT = 10
 # entries of the largest temporary array in the torsion pass and the pair search
 _CHUNK = 2**18
 

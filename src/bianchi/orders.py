@@ -48,7 +48,10 @@ def hilbert_character(m: int, k: ImagQuadField) -> frozenset[Place]:
     factorization, which rejects m = 0. A positive square m gives the empty
     set, the trivial character.
     """
-    return _hilbert_character(m, k, factorize(m).primes())
+    return frozenset(
+        INFINITY if p is None else _proven_place(p)
+        for p in _minus_one_primes(m, k, factorize(m).primes())
+    )
 
 
 def _minus_one_primes(
@@ -61,17 +64,6 @@ def _minus_one_primes(
     for p in {None, 2, *primes, *k.primes}:
         if _hilbert_symbol_at(m, minus_d, p) == -1:
             yield p
-
-
-def _hilbert_character(
-    m: int, k: ImagQuadField, primes: Iterable[int]
-) -> frozenset[Place]:
-    """hilbert_character of m, with the places that ``_minus_one_primes``
-    evaluates for the given primes."""
-    return frozenset(
-        INFINITY if p is None else _proven_place(p)
-        for p in _minus_one_primes(m, k, primes)
-    )
 
 
 def _order_type(lam_M: int, F: QuaternionAlgebraQ, k: ImagQuadField) -> int:

@@ -12,8 +12,6 @@ keeps the modulus enumerable.
 
 from __future__ import annotations
 
-import numpy as np
-
 from bianchi.arith import Place, valuation
 
 
@@ -24,6 +22,10 @@ def _strip_square_p(n: int, p: int) -> int:
 
 
 def _solvable_mod(a: int, b: int, p: int, K: int) -> bool:
+    # numpy only here, for the table of squares, so that importing this
+    # module needs no numpy
+    import numpy as np
+
     mod = p**K
     r = np.arange(mod, dtype=np.int64)
     r2 = r * r

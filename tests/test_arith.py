@@ -321,6 +321,7 @@ def test_hilbert_examples():
 
 
 def test_hilbert_examples_match_search_oracle():
+    pytest.importorskip("numpy")
     assert hilbert_symbol_by_search(2, 7, Place(7)) == 1
     assert hilbert_symbol_by_search(-3, -1, Place(3)) == -1
     assert hilbert_symbol_by_search(2, -1, Place(2)) == 1
@@ -328,6 +329,7 @@ def test_hilbert_examples_match_search_oracle():
 
 
 def test_hilbert_formula_matches_search_on_grid():
+    pytest.importorskip("numpy")
     values = [-10, -7, -5, -3, -2, -1, 1, 2, 3, 5, 6, 10]
     for a in values:
         for b in values:

@@ -14,26 +14,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_classify_table(capsys):
-    code, out, _ = run(capsys, "classify", "--d", "3")
-    assert code == 0
-    assert "d3" in out and "yes" in out
-
-
-def test_classify_json_deterministic(capsys):
-    code, out1, _ = run(capsys, "classify", "--d", "1", "--format", "json")
-    assert code == 0
-    code, out2, _ = run(capsys, "classify", "--d", "1", "--format", "json")
-    assert out1 == out2
-    payload = json.loads(out1)
-    assert payload["schema_version"] == "1.0"
-    assert payload["d"] == 1
-    gammas = {entry["kind"]: entry["gamma"] for entry in payload["kinds"]}
-    assert gammas == {"d3": 2, "t": 1, "d2": 1}
-    # round-trips losslessly through the canonical encoding
-    assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == out1.strip()
-
-
 @pytest.mark.parametrize(
     "d",
     [
@@ -116,26 +96,6 @@ def test_scan_json(capsys):
     payload = json.loads(out)
     assert len(payload["rows"]) == 7
     assert payload["totals"]["d2"] == 4
-
-
-def test_verify_existence_small(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "existence", "--dmax", "60")
-    assert code == 0
-    assert "pass" in out
-
-
-def test_verify_gamma_small(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "gamma", "--dmax", "60")
-    assert code == 0
-
-
-def test_oracle_local_count(capsys):
-    code, out, _ = run(
-        capsys, "oracle", "local-count", "--p", "3", "--d", "3", "--tau", "-1",
-        "--exp", "1",
-    )
-    assert code == 0
-    assert json.loads(out)["count"] == 4
 
 
 def test_oracle_local_count_rejects_a_large_tree_at_once(run_python):

@@ -4,11 +4,13 @@ criteria reach, read with ``ast`` alone: no numpy, no import of the package.
 The roots are every top-level definition of ``bianchi/cli.py``, every name
 that ``tests/test_acceptance.py`` imports, and every module-level statement
 of the package other than an import or a definition, since each runs at
-import. The scan follows each name that a reached definition or statement
-refers to, through the ``from .x import y`` lines of its module, to the
-module that defines it. A public top-level function or class under
-``src/bianchi`` that is never reached fails, unless ``ALLOWED`` names it
-with its reason; a name in ``ALLOWED`` that is reached fails too.
+import. So the verify suites are reached through ``SUITES``, the table that
+``bianchi/verify.py`` binds at module level and ``cli.py`` imports. The scan
+follows each name that a reached definition or statement refers to, through
+the ``from .x import y`` lines of its module, to the module that defines it.
+A public top-level function or class under ``src/bianchi`` that is never
+reached fails, unless ``ALLOWED`` names it with its reason; a name in
+``ALLOWED`` that is reached fails too.
 """
 
 import ast
