@@ -20,13 +20,14 @@ base that steps only past vertices that pass finds every one within
 distance r + 1, and tests about p others for each one it finds. Only the
 vertices that pass are solved: the intersection of F(tau) with the
 attached maximal order is computed exactly, by solving the integrality
-conditions as linear congruences mod p^K, and compared with the target
-p-locally. Every computation is in integers, in the arithmetic of
-``ring`` over Z[pi] with (s, t) = (0, -d): an element u + w*pi is the pair
-(u, w), a matrix the flat 8-tuple of its entries, and a rational matrix an
-integer numerator over one integer denominator, so J^-1 = adj(J) *
-(-pi)^m / d^m since pi^m * (-pi)^m = d^m. The precision K is validated by
-repeating the count at K + 1.
+conditions as linear congruences mod p^K. It holds the target, as the
+vertex does, so a match is a passing vertex of the target's volume. Every
+computation is in integers, in the arithmetic of ``ring`` over Z[pi] with
+(s, t) = (0, -d): an element u + w*pi is the pair (u, w), a matrix the
+flat 8-tuple of its entries, and a rational matrix an integer numerator
+over one integer denominator, so J^-1 = adj(J) * (-pi)^m / d^m since
+pi^m * (-pi)^m = d^m. The precision K is validated by repeating the count
+at K + 1.
 """
 
 from __future__ import annotations
@@ -124,34 +125,6 @@ def _volume(lat: Lattice, p: int) -> int:
     return valuation(_det(rows), p) - len(rows) * e
 
 
-def _dual(lat: Lattice, p: int) -> tuple[list[list[int]], int]:
-    """(adj, f) with the inverse basis matrix equal to p^f * adj times a
-    p-adic unit; adj is the adjugate of the integer rows."""
-    rows, e = lat
-    n = len(rows)
-    adj = [
-        [
-            (-1) ** (i + j)
-            * _det([r[:j] + r[j + 1 :] for h, r in enumerate(rows) if h != i])
-            for i in range(n)
-        ]
-        for j in range(n)
-    ]
-    return adj, e - valuation(_det(rows), p)
-
-
-def _inside(lat: Lattice, dual: tuple[list[list[int]], int], p: int) -> bool:
-    """Whether span_Zp(lat) lies in the lattice with the given _dual: every
-    row times the inverse basis is p-integral."""
-    rows, e = lat
-    adj, f = dual
-    mod = p ** max(e - f, 0)
-    cols = list(zip(*adj))
-    return all(
-        sum(map(mul, row, col)) % mod == 0 for row in rows for col in cols
-    )
-
-
 # --- the algebra F(tau) and its distinguished orders ---------------------
 
 
@@ -211,20 +184,18 @@ def _vertex_matrix(d: int, a: int, c: int, b: Pair) -> Flat:
     return (*pi_power(a), *b, 0, 0, *pi_power(c))
 
 
-def _intersection(
-    conj: list[Flat], scale: int, p: int, K_prec: int
-) -> tuple[Lattice, int]:
-    """The lattice of x in p^-K Z_p^4 with sum x_i * conj_i / D in M2(o_p),
-    where the conj_i are integer matrices over one D with v_p(D) = scale,
-    and its _volume, read off the solver's pivots."""
+def _intersection(conj: list[Flat], scale: int, p: int, K_prec: int) -> int:
+    """The _volume, read off the solver's pivots, of the lattice of x in
+    p^-K Z_p^4 with sum x_i * conj_i / D in M2(o_p), the conj_i integer
+    matrices over one D with v_p(D) = scale. At a held vertex the lattice
+    holds the target, so it is the target exactly at the target's volume."""
     mod = p ** (K_prec + scale)
     forms = []
     for slot in range(8):
         g = [X[slot] % mod for X in conj]
         if any(g):
             forms.append((g, K_prec + scale))
-    rows, exponent = _congruence_lattice(forms, p, 4)
-    return (rows, K_prec), exponent - 4 * K_prec
+    return _congruence_lattice(forms, p, 4)[1] - 4 * K_prec
 
 
 def _smallest_nonresidue(p: int) -> int:
@@ -267,7 +238,8 @@ class _Frame(NamedTuple):
 
 def _frame(k: ImagQuadField, p: int, eps: int, r: int) -> _Frame:
     """Build and check the maximal order of F(tau) and the target order of
-    index p^r in it, and conjugate both into the base vertex's frame."""
+    index p^r in it, and conjugate both into the base vertex's frame; a
+    held vertex matches the target when its intersection has its volume."""
     d = k.d
     n = _smallest_nonresidue(p)
     if eps == 1:
@@ -296,19 +268,12 @@ def _frame(k: ImagQuadField, p: int, eps: int, r: int) -> _Frame:
     if _disc_valuation(fmax_mats, d, p) != expected_disc:
         raise PrecisionError("maximal-order discriminant check failed")
 
-    fmax = _lattice(fmax_mats, tau_star, p)
     # O + O Pi^r Omega has Z_p-basis {1, Pi, Pi^r Om, Pi^(r+1) Om}
     pows: list[RMat] = [(_scalar(1), 1)]
     for _ in range(r + 1):
         pows.append(_rmul(d, pows[-1], Pi))
     gens = [Pi, _rmul(d, pows[r], Om), _rmul(d, pows[r + 1], Om)]
     target = _lattice([pows[0], *gens], tau_star, p)
-    if not _inside(target, _dual(fmax, p), p):
-        raise PrecisionError("target order not inside the maximal order")
-    # containment with index p^0 is equality, so r = 0 needs no other check
-    volume = _volume(target, p)
-    if volume - _volume(fmax, p) != r:
-        raise PrecisionError("target order has the wrong index")
 
     # base^-1 X base with v_p of its denominator L * den; the base's own
     # scalar denominator is cancelled
@@ -320,9 +285,14 @@ def _frame(k: ImagQuadField, p: int, eps: int, r: int) -> _Frame:
             for X, den in mats
         ]
 
+    # fmax is maximal, so the base order holds the target only if fmax does
     one = _scalar(1)  # the transition matrix of the base vertex
-    if not _vertex_holds(in_base(fmax_mats), d, p, one, one, 0):
-        raise PrecisionError("maximal order not inside the base vertex")
+    if not _vertex_holds(in_base(fmax_mats + gens), d, p, one, one, 0):
+        raise PrecisionError("maximal or target order not inside the base vertex")
+    # containment with index p^0 is equality, so r = 0 needs no other check
+    volume = _volume(target, p)
+    if volume - _volume(_lattice(fmax_mats, tau_star, p), p) != r:
+        raise PrecisionError("target order has the wrong index")
     E = [_conjugate(d, base_inv, X, base) for X in _f_basis(tau_star)]
     return _Frame(E, in_base(gens), valuation(L, p), target, volume)
 
@@ -369,24 +339,23 @@ def _held_vertices(
 def _counts_at_precisions(
     k: ImagQuadField, p: int, eps: int, r: int, precisions: tuple[int, ...]
 ) -> list[int]:
-    """The vertex count at each working precision, over the _held_vertices.
+    """The vertex count at each working precision K, over the _held_vertices.
     A vertex whose order does not contain the target cannot meet F(tau) in
-    it, at any precision, so no other vertex is solved. For each the
-    conjugations J^-1 E_i J are computed once and shared; each precision
-    solves its own intersection lattice and compares it with the target."""
+    it, at any precision, so no other vertex is solved. A held vertex holds
+    the target, which lies in p^-K Z_p^4, and so does its intersection at
+    K: a match is a held vertex of the target's volume. The J^-1 E_i J are
+    shared by the precisions."""
     d = k.d
     E, gens, v_L, target, volume = _frame(k, p, eps, r)
-    target_dual = _dual(target, p)
+    if target[1] > min(precisions):
+        raise PrecisionError(f"target order not in p^-K Z_p^4 at K={min(precisions)}")
     counts = [0] * len(precisions)
     for a, c, J, J_inv in _held_vertices(gens, d, p, r):
         conj = [_conjugate(d, J_inv, X, J) for X in E]
         for i, K_prec in enumerate(precisions):
-            lat, lat_volume = _intersection(conj, v_L + a + c, p, K_prec)
-            if lat_volume == volume and _inside(lat, target_dual, p):
+            if _intersection(conj, v_L + a + c, p, K_prec) == volume:
                 if a + c != r:
-                    raise RuntimeError(
-                        f"intersection matched target at distance {a + c} != {r}"
-                    )
+                    raise RuntimeError(f"target matched at distance {a + c} != {r}")
                 counts[i] += 1
     return counts
 

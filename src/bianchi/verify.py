@@ -17,7 +17,8 @@ from .classify import contains_in_order, contains_in_psl2o
 from .oracle.localtree import PrecisionError, count_maximal_orders_local
 from .oracle.localtree import _smallest_nonresidue
 from .oracle.subgroups import DEFAULT_HEIGHT, find_subgroup
-from .orders import automorphism_index, ramified_pairing_rank
+from .orders import LocalCountQuery, automorphism_index, local_embedding_count
+from .orders import ramified_pairing_rank
 from .quadfield import ImagQuadField, SplitType, squarefree_fields
 from .quaternion import KINDS, QuaternionAlgebraQ, SubgroupKind, group_algebra
 from .quaternion import _sigma_k_primes, from_hilbert_pair
@@ -107,8 +108,6 @@ def _subgroup_failures_at(k: ImagQuadField, height: int) -> list[str]:
 
 
 def _suite_local() -> list[str]:
-    from .orders import LocalCountQuery, local_embedding_count
-
     failures = []
     for p, d in ((3, 3), (5, 5)):
         k = ImagQuadField(d)

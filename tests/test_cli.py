@@ -64,38 +64,30 @@ def test_scan_json_is_the_same_across_sieve_segments(capsys, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_scan_row_count(capsys):
-    code, out, _ = run(capsys, "scan", "--dmax", "10")
-    assert code == 0
-    rows = [line for line in out.splitlines() if line and line[0].isdigit()]
-    assert len(rows) == 7  # d in {1,2,3,5,6,7,10}
-
-
 def test_scan_rows_are_the_squarefree_d(capsys):
-    expected = [d for d in range(1, 258) if all(d % (p * p) for p in range(2, 17))]
-    code, out, _ = run(capsys, "scan", "--dmax", "257", "--format", "json")
-    assert code == 0
-    assert [row["d"] for row in json.loads(out)["rows"]] == expected
-    code, out, _ = run(capsys, "scan", "--dmax", "257")
-    assert code == 0
-    lines = out.splitlines()
-    assert [int(line.split()[0]) for line in lines[1:-1]] == expected
-    assert lines[-1].startswith(f"-- {len(expected)} squarefree d <= 257;")
-
-
-def test_scan_kinds_filter(capsys):
-    code, out, _ = run(capsys, "scan", "--dmax", "30", "--kinds", "t")
-    assert code == 0
-    header = out.splitlines()[0]
-    assert "t" in header and "d3" not in header
-
-
-def test_scan_json(capsys):
-    code, out, _ = run(capsys, "scan", "--dmax", "10", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["rows"]) == 7
-    assert payload["totals"]["d2"] == 4
+    # in the JSON and in the table, whose summary gives the JSON's totals:
+    # the number of rows in which each kind exists
+    for dmax in (10, 257):
+        expected = [
+            d for d in range(1, dmax + 1) if all(d % (p * p) for p in range(2, 17))
+        ]
+        code, out, _ = run(capsys, "scan", "--dmax", str(dmax), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [row["d"] for row in doc["rows"]] == expected
+        totals = {"d3": 0, "t": 0, "d2": 0}
+        for row in doc["rows"]:
+            for kind in row["kinds"]:
+                totals[kind["kind"]] += kind["exists"]
+        assert doc["totals"] == totals
+        code, out, _ = run(capsys, "scan", "--dmax", str(dmax))
+        assert code == 0
+        lines = out.splitlines()
+        assert [int(line.split()[0]) for line in lines[1:-1]] == expected
+        assert lines[-1] == (
+            f"-- {len(expected)} squarefree d <= {dmax}; present for "
+            + ", ".join(f"{kind}: {n}" for kind, n in totals.items())
+        )
 
 
 def test_oracle_local_count_rejects_a_large_tree_at_once(run_python):

@@ -7,16 +7,16 @@ from bianchi.arith import Place, hilbert_symbol, is_prime, valuation
 from bianchi.cli import main
 from bianchi.oracle import localtree
 from bianchi.oracle.localtree import (
+    PrecisionError,
     _children,
     _congruence_lattice,
     _conjugate,
     _counts_at_precisions,
     _det,
-    _dual,
     _frame,
     _held_vertices,
-    _inside,
     _intersection,
+    _rmul,
     _smallest_nonresidue,
     _vertex_holds,
     _vertex_matrix,
@@ -221,7 +221,8 @@ def test_a_count_tests_p_once_and_each_vertex_once(record_calls, monkeypatch):
     seen = record_calls(is_prime)
     assert count_maximal_orders_local(3, k3, -1, 2) == 6
     assert seen == [3]
-    # the base twice: once for the maximal order in _frame, once in the walk
+    # the base twice: once in _frame, for the maximal order and the target,
+    # and once in the walk
     assert tested[0] == tested[1] == _scalar(1)
     assert len(set(tested[1:])) == len(tested) - 1 < len(enumerate_vertices(3, 3))
 
@@ -247,11 +248,41 @@ def test_counts_match_tables_at_p11():
             assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)
 
 
+@pytest.mark.parametrize(
+    "name, fault, message",
+    [
+        (
+            "_disc_valuation",
+            lambda mats, d, p: 1,
+            "maximal-order discriminant check failed",
+        ),
+        ("_volume", lambda lat, p: 0, "target order has the wrong index"),
+        # every product over one more 3, so Pi^r Om leaves the base vertex's order
+        (
+            "_rmul",
+            lambda d, X, Y: (_rmul(d, X, Y)[0], 3 * _rmul(d, X, Y)[1]),
+            "maximal or target order not inside the base vertex",
+        ),
+    ],
+    ids=["discriminant", "index", "containment"],
+)
+def test_frame_checks_its_orders(capsys, monkeypatch, name, fault, message):
+    # p = 3, tau = -1: F(tau) is the division algebra, whose maximal order
+    # is built without _rmul
+    monkeypatch.setattr(localtree, name, fault)
+    with pytest.raises(PrecisionError, match=f"^{message}$"):
+        _frame(ImagQuadField(3), 3, -1, 1)
+    argv = ["oracle", "local-count", "--p", "3", "--d", "3", "--tau", "-1"]
+    assert main([*argv, "--exp", "1"]) == 1
+    assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
+
+
 def _full_ball(k, p, tau, r, precisions):
     """The _frame of a count, and for every vertex within distance r + 1
-    its transition matrix J, whether it passes _vertex_holds and its
-    intersection lattice solved at each precision, whether it passes or
-    not: the unfiltered reference."""
+    its transition matrix J, whether it passes _vertex_holds, its
+    conjugated F(tau) basis over a denominator of valuation scale, and the
+    volume of its intersection lattice solved at each precision, whether it
+    passes or not: the unfiltered reference."""
     d = k.d
     frame = _frame(k, p, hilbert_symbol(tau, -d, Place(p)), r)
     vertices = []
@@ -260,12 +291,23 @@ def _full_ball(k, p, tau, r, precisions):
         J_inv, _ = _minv(J, 0, -d)
         conj = [_conjugate(d, J_inv, X, J) for X in frame.E]
         held = _vertex_holds(frame.gens, d, p, J, J_inv, a + c)
-        solved = [
-            _intersection(conj, frame.v_L + a + c, p, K_prec)
-            for K_prec in precisions
-        ]
-        vertices.append((J, held, solved))
+        scale = frame.v_L + a + c
+        volumes = [_intersection(conj, scale, p, K_prec) for K_prec in precisions]
+        vertices.append((J, held, conj, scale, volumes))
     return frame, vertices
+
+
+def lattice_holds_target(target, conj, scale, p, K_prec):
+    """Whether the lattice of x in p^-K Z_p^4 with sum x_i * conj_i / D in
+    M2(o_p), v_p(D) = scale, holds the target: read from its defining
+    congruences, each target row scaled to p^-K meets them in all 8 slots."""
+    rows, e = target
+    mod = p ** (K_prec + scale)
+    return all(
+        sum(x * p ** (K_prec - e) * X[slot] for x, X in zip(row, conj)) % mod == 0
+        for row in rows
+        for slot in range(8)
+    )
 
 
 @pytest.mark.parametrize(
@@ -276,20 +318,23 @@ def test_prefilter_keeps_the_counts_of_the_full_ball(p, d, r_max):
     k = ImagQuadField(d)
     for tau in (1, _smallest_nonresidue(p)):
         for r in range(r_max + 1):
-            frame, vertices = _full_ball(k, p, tau, r, (r + 3, r + 4))
-            target_dual = _dual(frame.target, p)
+            precisions = (r + 3, r + 4)
+            frame, vertices = _full_ball(k, p, tau, r, precisions)
+            # a vertex matches when its lattice is the target: it holds the
+            # target and has the target's volume, whether it passes or not
             counts = [
                 sum(
-                    volume == frame.volume and _inside(lat, target_dual, p)
-                    for lat, volume in (solved[i] for _, _, solved in vertices)
+                    volumes[i] == frame.volume
+                    and lattice_holds_target(frame.target, conj, scale, p, K_prec)
+                    for _, _, conj, scale, volumes in vertices
                 )
-                for i in range(2)
+                for i, K_prec in enumerate(precisions)
             ]
             assert counts[0] == counts[1], (tau, r)
             assert counts[0] == count_maximal_orders_local(p, k, tau, r), (tau, r)
             # the walk finds each vertex of the ball that holds the target, once
             walked = [J for _, _, J, _ in _held_vertices(frame.gens, d, p, r)]
-            held = [J for J, held, _ in vertices if held]
+            held = [J for J, held, *_ in vertices if held]
             assert sorted(walked) == sorted(held), (tau, r)
 
 
@@ -299,9 +344,10 @@ def test_prefilter_passes_exactly_where_the_lattice_holds_the_target(p):
     passed = 0
     for tau in (1, _smallest_nonresidue(p)):
         for r in range(4):
-            frame, vertices = _full_ball(k, p, tau, r, (r + 3,))
-            for _, held, [(lat, _)] in vertices:
-                assert held == _inside(frame.target, _dual(lat, p), p), (tau, r)
+            frame, vertices = _full_ball(k, p, tau, r, ())
+            for _, held, conj, scale, _ in vertices:
+                holds = lattice_holds_target(frame.target, conj, scale, p, r + 3)
+                assert held == holds, (tau, r)
                 passed += held
     # the filter is neither empty nor everything
     assert 0 < passed < 2 * len(enumerate_vertices(p, 4))

@@ -283,12 +283,21 @@ FAULTS = {
     "verify-local-r0-rows": (
         ["verify", "--suite", "local"],
         (
-            "bianchi.orders.local_embedding_count",
+            "bianchi.verify.local_embedding_count",
             lambda q: 2 if q.index_exponent == 0 else local_embedding_count(q),
         ),
         "suite local: 4 failure(s)\n",
         4,
         "FAIL: tree count p=3, tau=1, r=0: got 1, table says 2",
+    ),
+    # every vertex passes the walk's filter, so the walk reaches vertices
+    # whose order does not hold the target, some of them of its volume
+    "verify-local-filter-passes-all": (
+        ["verify", "--suite", "local"],
+        ("bianchi.oracle.localtree._vertex_holds", lambda *args: True),
+        "suite local: 10 failure(s)\n",
+        10,
+        "FAIL: tree count p=3, tau=1, r=1: got 4, table says 1",
     ),
     "verify-local-unstable": (
         ["verify", "--suite", "local"],
