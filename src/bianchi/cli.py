@@ -2,9 +2,11 @@
 reports, range scans, the verification suites of ``bianchi.verify``, and
 oracle runs, with machine-readable JSON output.
 
-Exit codes: 0 success, 1 verification or internal failure, 2 usage error
-or, for the subgroup oracle and suite, numpy missing, 141 stdout closed
-before the output ended (as for a process that SIGPIPE killed).
+Exit codes: 0 success; 1 a failed verification, or a RuntimeError, which
+every self-check of the library raises; 2 a ValueError, which every
+rejected input raises, or numpy missing for the subgroup oracle and suite;
+141 stdout closed before the output ended (as for a process that SIGPIPE
+killed).
 JSON output is versioned ("1.0"), key-sorted, and byte-stable for a fixed
 input; the table renderings carry no stability contract.
 """
@@ -18,17 +20,11 @@ import sys
 from functools import cache
 from typing import Optional, Sequence
 
-from .classify import (
-    SCHEMA_VERSION,
-    GammaMismatchError,
-    checked_gamma,
-    classify_report,
-    dump_row,
-    host_algebra_split,
-)
+from .classify import SCHEMA_VERSION, checked_gamma, classify_report, dump_row
+from .classify import host_algebra_split
 from .quadfield import ImagQuadField, squarefree_fields
 from .quaternion import KINDS, SubgroupKind
-from .oracle.localtree import PrecisionError, count_maximal_orders_local
+from .oracle.localtree import count_maximal_orders_local
 from .oracle.subgroups import DEFAULT_HEIGHT, MAX_HEIGHT, NumpyMissingError
 from .oracle.subgroups import find_subgroup
 from .verify import SUITES
@@ -49,6 +45,11 @@ def _check_height(height: Optional[int]) -> None:
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _print_payload(**fields) -> None:
+    """Print one versioned JSON document of the given fields."""
+    print(_dump({"schema_version": SCHEMA_VERSION, **fields}))
 
 
 def _render_report_table(report: dict) -> str:
@@ -128,18 +129,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     value = checked_gamma(kind, k)
     split = host_algebra_split(kind, k)
     host = "matrix" if split else "division"
-    print(
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "d": args.d,
-                "kind": kind.value,
-                "gamma": value,
-                "host_split": split,
-                "host": host,
-            }
-        )
-    )
+    _print_payload(d=args.d, kind=kind.value, gamma=value, host_split=split, host=host)
     return 0
 
 
@@ -175,34 +165,14 @@ def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
             {e: list(m[2 * i : 2 * i + 2]) for i, e in enumerate("abcd")}
             for m in witness.generators
         ]
-    print(
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "d": args.d,
-                "height": height,
-                "witnesses": results,
-            }
-        )
-    )
+    _print_payload(d=args.d, height=height, witnesses=results)
     return 0
 
 
 def cmd_oracle_local(args: argparse.Namespace) -> int:
     k = ImagQuadField(args.d)
     count = count_maximal_orders_local(args.p, k, args.tau, args.exp)
-    print(
-        _dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "p": args.p,
-                "d": args.d,
-                "tau": args.tau,
-                "exp": args.exp,
-                "count": count,
-            }
-        )
-    )
+    _print_payload(p=args.p, d=args.d, tau=args.tau, exp=args.exp, count=count)
     return 0
 
 
@@ -277,7 +247,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, NumpyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GammaMismatchError, PrecisionError) as exc:
+    except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,10 @@ from .ring import Flat, Pair, _minv, _mmul, _mtrace, _scalar
 
 
 class PrecisionError(RuntimeError):
-    """The vertex count changed when the working precision was raised."""
+    """A self-check of the tree count failed: the maximal order's
+    discriminant, the base vertex's containment of it and of the target, the
+    target's index or exponent, the distance of a match, or the recount at a
+    raised working precision."""
 
 
 #: The most tree vertices a count may reach. There are 1 + (p + 1)(p^m -
@@ -355,7 +358,7 @@ def _counts_at_precisions(
         for i, K_prec in enumerate(precisions):
             if _intersection(conj, v_L + a + c, p, K_prec) == volume:
                 if a + c != r:
-                    raise RuntimeError(f"target matched at distance {a + c} != {r}")
+                    raise PrecisionError(f"target matched at distance {a + c} != {r}")
                 counts[i] += 1
     return counts
 

@@ -352,7 +352,7 @@ def find_subgroup(
     """First witness, in lexicographic order of (U, V), of the group type
     among height-bounded matrices; None when the bounded search is exhausted.
     The first pair that passes the filters of the search passes the checks
-    of its kind, or AssertionError.
+    of its kind, or RuntimeError.
 
     Absence is a value, not an error: the bound H caps the search, so None
     only certifies nonexistence within the box.
@@ -364,7 +364,7 @@ def find_subgroup(
         return None
     witness = _witness(kind, *pair, s, t)
     if witness is None:
-        raise AssertionError("every filtered pair must pass the checks of its kind")
+        raise RuntimeError("every filtered pair must pass the checks of its kind")
     return witness
 
 

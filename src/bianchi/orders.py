@@ -300,5 +300,5 @@ def automorphism_index(F: QuaternionAlgebraQ, k: ImagQuadField) -> int:
     n_trivial = len(unit_character_divisors(F, k))
     s = n_trivial.bit_length() - 1
     if 1 << s != n_trivial:
-        raise AssertionError("trivial-character divisors must number a power of 2")
+        raise RuntimeError("trivial-character divisors must number a power of 2")
     return 1 << (t + r + s - 1)

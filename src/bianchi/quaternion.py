@@ -129,7 +129,7 @@ def normalize_tau(tau: int, k: ImagQuadField) -> int:
     if g > 1:
         tau = squarefree_part(tau // g * (d // g + g))
         if gcd(abs(tau), d) != 1:
-            raise AssertionError("gcd clearing must strictly decrease")
+            raise RuntimeError("gcd clearing must strictly decrease")
     # a leftover factor 2 of D is possible only for odd d = 1 mod 4
     if d % 4 == 1 and tau % 2 == 0:
         tau = squarefree_part(tau * (d + 1) // 4)

@@ -197,11 +197,22 @@ def _no_d2_host_at_1_mod_4(kind, k):
     return host_algebra_split(kind, k)
 
 
+def _at_target_volume(conj, scale, p, K_prec):
+    # every solved vertex meets F(tau) in a lattice of the target's volume,
+    # as the calling count's _frame gave it, the base vertex among them
+    return sys._getframe(1).f_locals["volume"]
+
+
 # the embedding path's count doubled, so that the two paths disagree
 TWICE_COMPOSED = ("bianchi.classify.gamma_composed", lambda kind, d: 2 * gamma_composed(kind, d))
 # the tree count as the local suite calls it, and as oracle local-count does
 UNSTABLE_IN_SUITE = ("bianchi.verify.count_maximal_orders_local", _count_unstable)
 UNSTABLE_IN_ORACLE = ("bianchi.cli.count_maximal_orders_local", _count_unstable)
+# a filtered pair that fails the checks of its kind, for each pair the search finds
+NO_WITNESS = ("bianchi.oracle.subgroups._witness", lambda *args: None)
+# three trivial-character divisors, which are no power of 2
+THREE_DIVISORS = ("bianchi.orders.unit_character_divisors", lambda F, k: [1, 2, 3])
+MATCHED_EVERYWHERE = ("bianchi.oracle.localtree._intersection", _at_target_volume)
 
 # A fault row gives an argv, the patch that breaks what the call checks (a
 # target and its replacement, or None for a fault in the code as it is), and
@@ -265,12 +276,40 @@ FAULTS = {
         28,
         "FAIL: automorphism index/rank mismatch: d=23, QuaternionAlgebraQ({2, 3})",
     ),
+    "classify-divisor-count-no-power-of-2": (
+        ["classify", "--d", "11"],
+        THREE_DIVISORS,
+        "",
+        0,
+        "internal check failed: trivial-character divisors must number a power of 2",
+    ),
+    "verify-autindex-divisor-count-no-power-of-2": (
+        ["verify", "--suite", "autindex", "--dmax", "20"],
+        THREE_DIVISORS,
+        "",
+        0,
+        "internal check failed: trivial-character divisors must number a power of 2",
+    ),
     "verify-subgroups-witness-against-theory": (
         ["verify", "--suite", "subgroups", "--dmax", "3"],
         ("bianchi.verify.contains_in_psl2o", lambda kind, k: False),
         "suite subgroups: 7 failure(s)\n",
         7,
         "FAIL: witness found but nonexistence predicted: d3, d=1",
+    ),
+    "oracle-subgroups-witness-fails-its-checks": (
+        ["oracle", "subgroups", "--d", "1"],
+        NO_WITNESS,
+        "",
+        0,
+        "internal check failed: every filtered pair must pass the checks of its kind",
+    ),
+    "verify-subgroups-witness-fails-its-checks": (
+        ["verify", "--suite", "subgroups", "--dmax", "3"],
+        NO_WITNESS,
+        "",
+        0,
+        "internal check failed: every filtered pair must pass the checks of its kind",
     ),
     "verify-subgroups-height-shortfall": (
         # the box of height 10 holds no tetrahedral group of d = 33
@@ -308,6 +347,21 @@ FAULTS = {
     ),
     "local-count-unstable": (
         local_count(), UNSTABLE_IN_ORACLE, "", 0, "internal check failed: count unstable"
+    ),
+    # the base vertex, at distance 0, matches a target of index p^r for r > 0
+    "verify-local-matched-off-distance": (
+        ["verify", "--suite", "local"],
+        MATCHED_EVERYWHERE,
+        "suite local: 12 failure(s)\n",
+        12,
+        "FAIL: precision failure p=3, tau=1, r=1: target matched at distance 0 != 1",
+    ),
+    "local-count-matched-off-distance": (
+        local_count(tau=1),
+        MATCHED_EVERYWHERE,
+        "",
+        0,
+        "internal check failed: target matched at distance 0 != 1",
     ),
 }
 

@@ -121,7 +121,7 @@ from bianchi.quadfield import make_field
 quaternion.squarefree_part = lambda n: 3
 try:
     quaternion.normalize_tau(3, make_field(3))
-except AssertionError as exc:
+except RuntimeError as exc:
     print(exc)
 """
     done = run_python(code, "-O")
