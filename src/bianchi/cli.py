@@ -4,8 +4,9 @@ oracle runs, with machine-readable JSON output.
 
 Exit codes: 0 success; 1 a failed verification, or a RuntimeError, which
 every self-check of the library raises; 2 a ValueError, which every
-rejected input raises, or numpy missing for the subgroup oracle and suite;
-141 stdout closed before the output ended (as for a process that SIGPIPE
+rejected input raises, or numpy missing for the subgroup oracle and suite,
+or an argument argparse rejects, such as an option given by a prefix of its
+name; 141 stdout closed before the output ended (as for a process that SIGPIPE
 killed).
 JSON output is versioned ("1.0"), key-sorted, and byte-stable for a fixed
 input; the table renderings carry no stability contract.
@@ -181,45 +182,50 @@ def _build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="bianchi",
+        allow_abbrev=False,
         description="finite subgroups of Bianchi groups: classification, "
         "class counts, and brute-force verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="classify one d")
+    def command(parent, name: str, help: str) -> argparse.ArgumentParser:
+        # as in the top parser, an option is read only by its full name
+        return parent.add_parser(name, help=help, allow_abbrev=False)
+
+    p_classify = command(sub, "classify", "classify one d")
     p_classify.add_argument("--d", type=int, required=True)
     p_classify.add_argument("--format", choices=("table", "json"), default="table")
     p_classify.set_defaults(func=cmd_classify)
 
-    p_scan = sub.add_parser("scan", help="classify all squarefree d up to a bound")
+    p_scan = command(sub, "scan", "classify all squarefree d up to a bound")
     p_scan.add_argument("--dmax", type=int, required=True)
     p_scan.add_argument("--kinds", type=str)
     p_scan.add_argument("--format", choices=("table", "json"), default="table")
     p_scan.set_defaults(func=cmd_scan)
 
-    p_gamma = sub.add_parser("gamma", help="conjugacy class count for one kind")
+    p_gamma = command(sub, "gamma", "conjugacy class count for one kind")
     p_gamma.add_argument("--d", type=int, required=True)
     p_gamma.add_argument(
         "--kind", choices=sorted(k.value for k in KINDS), required=True
     )
     p_gamma.set_defaults(func=cmd_gamma)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = command(sub, "verify", "run a verification suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--dmax", type=int, default=None)
     p_verify.add_argument("--height", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_oracle = sub.add_parser("oracle", help="run a brute-force oracle")
+    p_oracle = command(sub, "oracle", "run a brute-force oracle")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
 
-    p_subgroups = oracle_sub.add_parser("subgroups", help="search SL2(o) directly")
+    p_subgroups = command(oracle_sub, "subgroups", "search SL2(o) directly")
     p_subgroups.add_argument("--d", type=int, required=True)
     p_subgroups.add_argument("--height", type=int, default=None)
     p_subgroups.set_defaults(func=cmd_oracle_subgroups)
 
-    p_local = oracle_sub.add_parser(
-        "local-count", help="count local maximal orders on the tree"
+    p_local = command(
+        oracle_sub, "local-count", "count local maximal orders on the tree"
     )
     p_local.add_argument("--p", type=int, required=True)
     p_local.add_argument("--d", type=int, required=True)

@@ -29,12 +29,21 @@ over the triangle above the diagonal of the trace-0 half times itself:
 trace-0 U and V with trace(U*V) = 0 anticommute, so (V, U) is a pair too,
 with a W of the same integrality, and no U pairs with itself. D3 pairs the
 trace-1 half with the trace-0 half.
+
+The halves come from one pass that, given the trace, alpha and beta,
+solves det = 1 for gamma. It solves on one fundamental domain of sigma,
+tau (beta, gamma -> -beta, -gamma) and the transpose (beta <-> gamma),
+and there only for the beta whose norm lies in the window that the norm of
+alpha*delta - 1 sets exactly; each table is sorted and deduplicated by one
+int64 key per row (_torsion_flat, _lex_key).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional
 
 from ..quadfield import FieldLike, ImagQuadField, _field
@@ -129,28 +138,46 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
     tr and alpha_y < 0, or alpha = delta and beta < -beta.
 
     For each alpha and trace, delta is fixed and alpha*delta - beta*gamma = 1
-    leaves gamma = n*conj(beta)/N(beta) with n = alpha*delta - 1, so one
-    int64 pass over the (alpha, beta) grid keeps the exact divisions whose
-    gamma lies in the box; n = 0 also admits beta = 0 with any gamma. The
-    division is staged: the x coordinate over the whole grid, the y
-    coordinate only where the first is exact and within the box.
+    leaves gamma = n*conj(beta)/N(beta) with n = alpha*delta - 1. Two more
+    maps keep det, trace and the box and commute with sigma: tau, (alpha,
+    beta, gamma, delta) -> (alpha, -beta, -gamma, delta), and the transpose,
+    (alpha, beta, gamma, delta) -> (alpha, gamma, beta, delta). Every row is
+    an image of one with beta > -beta and N(beta) <= N(gamma), so the pass
+    solves for those only, and adds their tau-images and then the
+    transposes of both.
 
-    tau: (alpha, beta, gamma, delta) -> (alpha, -beta, -gamma, delta) keeps
-    det, trace and the box and commutes with sigma, so the grid holds only
-    the beta > -beta, and each row found there adds its tau-image. Where
-    alpha = delta, the image, with beta < -beta, is the only one in the half.
+    For n != 0, N(beta)*N(gamma) = N(n), and a gamma in the box has N(gamma)
+    <= N_max, the largest norm there. So a row has N(n) <= N(beta)*N_max and
+    N(beta)^2 <= N(n): ceil(N(n)/N_max) <= N(beta) <= isqrt(N(n)). With the
+    betas sorted by norm, this window is one slice per alpha, cut by
+    bisecting N(beta)*N_max and N(beta)^2 in Python integers, as N(n) can
+    pass 2^63. The window drops only pairs without a solution. On the pairs
+    in it, the int64 division within the bound of _exact_ring keeps the
+    gamma that exist, staged: the x coordinate over every pair, the y
+    coordinate only where the first is exact and within the box. n = 0
+    leaves the window empty; it admits beta = 0 with any gamma, and the
+    transposes of that block give gamma = 0 with any beta.
+
+    alpha and delta alone place an image in the half or out of it, except
+    where alpha = delta: there the rule beta < -beta applies again. The
+    images repeat where N(beta) = N(gamma), so each table is sorted and
+    deduplicated by the int64 key of _lex_key.
     """
     np = _numpy()
     s, t = _ring_constants(d)
     side = np.arange(-H, H + 1, dtype=np.int64)
     box_x = np.repeat(side, len(side))
     box_y = np.tile(side, len(side))
+    norm = box_x * box_x + s * box_x * box_y - t * box_y * box_y
+    n_max = int(norm.max())
     above = (box_x > 0) | ((box_x == 0) & (box_y > 0))  # beta > -beta
-    bx, by = box_x[above], box_y[above]
+    order = np.flatnonzero(above)[np.argsort(norm[above], kind="stable")]
+    bx, by, nb = box_x[order], box_y[order], norm[order]
     cx, cy = bx + s * by, -by  # conj(beta), as conj(omega) = s - omega
-    nb = bx * bx + s * bx * by - t * by * by  # N(beta) > 0
+    norms = nb.tolist()
+    scaled = [b * n_max for b in norms]  # N(beta)*N_max, ascending
+    squares = [b * b for b in norms]  # N(beta)^2, ascending
     tau = np.array([1, 1, -1, -1, -1, -1, 1, 1], dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(bx)))
     out = []
     for tr in (0, 1):
         keep = (np.abs(tr - box_x) <= H) & (
@@ -158,7 +185,6 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
         )
         ax, ay = box_x[keep], box_y[keep]
         dx, dy = tr - ax, -ay
-        fixed = (2 * ax == tr) & (ay == 0)  # alpha = delta
         yy = ay * dy
         nx = ax * dx + t * yy - 1
         ny = ax * dy + ay * dx + s * yy
@@ -168,13 +194,27 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
             block[:, (0, 1, 6, 7)] = ax[i], ay[i], dx[i], dy[i]
             block[:, 4], block[:, 5] = box_x, box_y
             found.append(block)
-        for lo in range(0, len(ax), step):
-            n_x, n_y = nx[lo : lo + step, None], ny[lo : lo + step, None]
-            gx, rx = np.divmod(n_x * cx + t * n_y * cy, nb)
-            i, j = np.nonzero((rx == 0) & (np.abs(gx) <= H))
-            gx = gx[i, j]
-            i += lo
+        # the window of each alpha: the slice of the betas from start to stop
+        norm_n = [
+            x * x + s * x * y - t * y * y for x, y in zip(nx.tolist(), ny.tolist())
+        ]
+        start = np.array(
+            list(map(bisect_left, repeat(scaled), norm_n)), dtype=np.int64
+        )
+        stop = np.array(
+            list(map(bisect_right, repeat(squares), norm_n)), dtype=np.int64
+        )
+        width = np.maximum(stop - start, 0)
+        pair_i = np.repeat(np.arange(len(ax)), width)
+        offset = start - np.cumsum(width) + width  # beta index - pair index
+        pair_j = np.arange(len(pair_i)) + np.repeat(offset, width)
+        for lo in range(0, len(pair_i), _CHUNK):
+            i, j = pair_i[lo : lo + _CHUNK], pair_j[lo : lo + _CHUNK]
             n_x, n_y, c_x, c_y = nx[i], ny[i], cx[j], cy[j]
+            gx, rx = np.divmod(n_x * c_x + t * n_y * c_y, nb[j])
+            ok = (rx == 0) & (np.abs(gx) <= H)
+            i, j, gx = i[ok], j[ok], gx[ok]
+            n_x, n_y, c_x, c_y = n_x[ok], n_y[ok], c_x[ok], c_y[ok]
             gy, ry = np.divmod(n_x * c_y + n_y * c_x + s * n_y * c_y, nb[j])
             ok = (ry == 0) & (np.abs(gy) <= H)
             i, j = i[ok], j[ok]
@@ -182,11 +222,24 @@ def _torsion_flat(d: int, H: int) -> tuple[np.ndarray, np.ndarray]:
                 [ax[i], ay[i], bx[j], by[j], gx[ok], gy[ok], dx[i], dy[i]],
                 axis=1,
             )
-            found += [rows[~fixed[i]], rows * tau]
-        half = np.concatenate(found)
-        out.append(half[np.lexsort(half.T[::-1])])  # Python's tuple order
+            found += [rows, rows * tau]
+        rows = np.concatenate(found)
+        rows = np.concatenate((rows, rows[:, (0, 1, 4, 5, 2, 3, 6, 7)]))
+        fixed = (2 * rows[:, 0] == tr) & (rows[:, 1] == 0)  # alpha = delta
+        below = (rows[:, 2] < 0) | ((rows[:, 2] == 0) & (rows[:, 3] < 0))
+        rows = rows[~fixed | below]
+        _, first = np.unique(_lex_key(rows, H), return_index=True)
+        out.append(rows[first])
         out[-1].setflags(write=False)  # shared through the cache
     return out[0], out[1]
+
+
+def _lex_key(rows: np.ndarray, H: int) -> np.ndarray:
+    """One int64 per row of box entries, in the order of the rows as tuples:
+    the base-(2H+1) number of the digits x + H, each in 0..2H. It is below
+    (2H+1)^8 < 2^41, as H <= MAX_HEIGHT."""
+    np = _numpy()
+    return (rows + H) @ (2 * H + 1) ** np.arange(7, -1, -1, dtype=np.int64)
 
 
 def enumerate_torsion_elements(d: FieldLike, H: int) -> list[Flat]:
@@ -199,7 +252,7 @@ def enumerate_torsion_elements(d: FieldLike, H: int) -> list[Flat]:
     s1 = -t1
     s1[:, (0, 6)] += 1  # sigma(A) = I - A on trace 1, and sigma(A) = -A on 0
     rows = np.concatenate((t0, -t0, t1, s1, -t1, -s1))  # all disjoint
-    return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
+    return list(map(tuple, rows[np.argsort(_lex_key(rows, H))].tolist()))
 
 
 # one entry, as for _torsion_flat: find_subgroup asks for the three kinds of

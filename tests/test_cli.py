@@ -41,6 +41,29 @@ def test_main_reuses_one_parser(capsys):
     assert "--dmax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["scan", "--d", "10"], "required: --dmax"),
+        (["verify", "--suite", "gamma", "--d", "20"], "unrecognized arguments: --d 20"),
+        (["classify", "--d", "5", "--fo", "json"], "unrecognized arguments: --fo json"),
+        (
+            ["oracle", "local-count", "--p", "3", "--d", "3", "--t", "1", "--e", "1"],
+            "required: --tau, --exp",
+        ),
+    ],
+    ids=["scan", "verify", "classify", "local-count"],
+)
+def test_an_option_is_read_only_by_its_full_name(capsys, argv, named):
+    # argparse would read each prefix above as the option it begins; the
+    # parser rejects it, so the call exits 2 with a usage line before it runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, ""), err
+    assert err.startswith("usage: bianchi") and named in err.splitlines()[-1], err
+
+
 @pytest.mark.parametrize("argv", [("--dmax", "3000"), ("--kinds", "t,d2", "--dmax", "1000")])
 def test_scan_json_is_one_key_sorted_dump(capsys, argv):
     # the streamed rows keep the bytes of one key-sorted dump of the

@@ -8,7 +8,6 @@ import pytest
 pytest.importorskip("numpy")
 
 from bianchi.arith import is_squarefree
-from bianchi.classify import contains_in_psl2o
 from bianchi.cli import main
 from bianchi.oracle.ring import _mdet, _mmul, _mtrace, _omul, _ring_constants
 from bianchi.oracle.subgroups import (
@@ -37,6 +36,14 @@ BEYOND_EXACT_D = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37
 LARGEST_ADMITTED_D = next(
     d for d in range(10**6, 0, -1) if d % 4 != 3 and is_squarefree(d)
 )
+# squarefree, within the exact range at H = 16, and with N(alpha*delta - 1)
+# past 2^63 for some alpha of the H = 6 box: a prime near 10^10, the product
+# of the primes to 31 and 2^40 + 15
+PAST_INT64_NORM_D = [
+    10000000019,
+    2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31,
+    2**40 + 15,
+]
 
 
 def _brute_force_torsion(d, H):
@@ -98,6 +105,31 @@ def test_torsion_pass_matches_the_loops(d):
         loops = _loop_torsion(d, H)
         for tr, half, full in zip((0, 1), _torsion_halves(d, H), loops):
             assert tuple(sorted(half + _sigma(half, tr))) == full, (tr, H)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, *PAST_INT64_NORM_D])
+def test_the_windowed_pass_matches_the_loops(d):
+    # the pass solves beta > -beta with N(beta) <= N(gamma) only, on the
+    # window of N(beta) that N(n) sets, and adds the images under tau and the
+    # transpose; the loops over every (alpha, beta) find the same rows, once
+    # each, where N(n) passes 2^63, at n = 0, and where N(beta) = N(gamma)
+    for H in (1, 2, 4, 6):
+        loops = _loop_torsion(d, H)
+        for tr, half, full in zip((0, 1), _torsion_halves(d, H), loops):
+            assert len(set(half)) == len(half), (tr, H)
+            assert tuple(sorted(half + _sigma(half, tr))) == full, (tr, H)
+    s, t = _ring_constants(d)
+
+    def norm(x):
+        return x[0] ** 2 + s * x[0] * x[1] - t * x[1] ** 2
+
+    rows = loops[0] + loops[1]
+    n_zero = [m for m in rows if _omul(m[0:2], m[6:8], s, t) == (1, 0)]
+    equal = [m for m in rows if norm(m[2:4]) == norm(m[4:6])]
+    alpha_delta = _omul((0, 6), (0, -6), s, t)  # alpha = 6*omega at trace 0
+    widest = norm((alpha_delta[0] - 1, alpha_delta[1]))
+    assert (widest >= 2**63) == (d in PAST_INT64_NORM_D)
+    assert bool(n_zero) == (d in (1, 3)) and equal
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 19, LARGEST_ADMITTED_D])
@@ -307,16 +339,6 @@ def test_search_digest_is_pinned():
     )
 
 
-@pytest.mark.parametrize("d", [d for d in range(1, 14) if is_squarefree(d)])
-def test_search_agrees_with_theory_small(d):
-    for kind in KINDS:
-        predicted = contains_in_psl2o(kind, d)
-        witness = find_subgroup(kind, d, 10)
-        assert (witness is not None) == predicted, (kind, d)
-        if witness is not None:
-            assert verify_witness(witness, d)
-
-
 def test_torsion_digest_is_pinned():
     # the enumeration for every squarefree d <= 30 at H = 10, element by
     # element, as the O(H^4) Python loops produced it
@@ -328,6 +350,13 @@ def test_torsion_digest_is_pinned():
     assert h.hexdigest() == (
         "90e3861f856aa3f7850c51ad752ccad99c7086ac5ea9bceaa9c9844d1c8e932d"
     )
+
+
+def test_the_subgroup_suite_passes_at_the_largest_height(capsys):
+    # every squarefree d <= 30, as the suite's default range, at H = 16
+    argv = ["verify", "--suite", "subgroups", "--height", str(MAX_HEIGHT)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "suite subgroups: pass\n"
 
 
 def test_a_range_suite_keeps_one_torsion_table(capsys):
