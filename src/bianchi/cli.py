@@ -2,24 +2,25 @@
 reports, range scans, the verification suites of ``bianchi.verify``, and
 oracle runs, with machine-readable JSON output.
 
-Exit codes: 0 success; 1 a failed verification, or a RuntimeError, which
-every self-check of the library raises; 2 a ValueError, which every
-rejected input raises, or numpy missing for the subgroup oracle and suite,
-or an argument argparse rejects, such as an option given by a prefix of its
-name; 141 stdout closed before the output ended (as for a process that SIGPIPE
-killed).
+``COMMANDS`` holds each command's words, handler and options. An option is
+``--name value`` or ``--name=value``, given at most once and by its full name;
+an integer is ASCII decimal, ``-?[0-9]+``. ``--help`` prints the usage, of
+every command or of the one it follows. Exit codes: 0 success; 1 a failed
+verification, or a RuntimeError, which every self-check of the library raises;
+2 a ValueError, which every rejected argument or input raises, or numpy
+missing for the subgroup oracle and suite, printed as one ``error:`` line; 141
+stdout closed before the output ended (as for a process that SIGPIPE killed).
 JSON output is versioned ("1.0"), key-sorted, and byte-stable for a fixed
 input; the table renderings carry no stability contract.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
-from functools import cache
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 from .classify import SCHEMA_VERSION, checked_gamma, classify_report, dump_row
 from .classify import host_algebra_split
@@ -31,17 +32,11 @@ from .oracle.subgroups import find_subgroup
 from .verify import SUITES
 
 
-def _check_dmax(dmax: Optional[int], ceiling: Optional[int]) -> None:
-    """None stands for a suite's default range, and ceiling is the largest dmax."""
-    if dmax is not None and not 1 <= dmax <= ceiling:
+def _check_range(name: str, value: Optional[int], ceiling: Optional[int]) -> None:
+    """None stands for the option's default, and ceiling is its largest value."""
+    if value is not None and not 1 <= value <= ceiling:
         shown = "10^6" if ceiling == 10**6 else ceiling
-        raise ValueError(f"--dmax must lie in 1..{shown}")
-
-
-def _check_height(height: Optional[int]) -> None:
-    """None stands for the default height."""
-    if height is not None and not 1 <= height <= MAX_HEIGHT:
-        raise ValueError(f"--height must lie in 1..{MAX_HEIGHT}")
+        raise ValueError(f"--{name} must lie in 1..{shown}")
 
 
 def _dump(payload: dict) -> str:
@@ -66,7 +61,7 @@ def _render_report_table(report: dict) -> str:
     return "\n".join(lines)
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     report = classify_report(args.d)
     if args.format == "json":
         print(dump_row(report))
@@ -75,20 +70,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    _check_dmax(args.dmax, 10**6)
+def cmd_scan(args: SimpleNamespace) -> int:
+    _check_range("dmax", args.dmax, 10**6)
     # the positions in KINDS, and so in each report's kinds, of the kinds shown
     chosen = range(len(KINDS))
     if args.kinds is not None:  # left out, it means every kind
-        names = [s.strip() for s in args.kinds.split(",") if s.strip()]
-        try:
-            named = set(map(SubgroupKind, names))
-        except ValueError:
-            named = set()
-        if not named:
+        names = [s.strip() for s in args.kinds.split(",")]
+        chosen = [i for i, k in enumerate(KINDS) if k.value in names]
+        if len(chosen) < len(names):  # an entry unknown, empty or repeated
             listed = ",".join(k.value for k in KINDS)
-            raise ValueError(f"--kinds must name some of {listed}, got {args.kinds!r}")
-        chosen = [i for i, k in enumerate(KINDS) if k in named]
+            raise ValueError(
+                f"--kinds must name distinct kinds of {listed}, got {args.kinds!r}"
+            )
     kinds = [KINDS[i] for i in chosen]
     totals = [0] * len(chosen)
     n_rows = 0
@@ -123,7 +116,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
+def cmd_gamma(args: SimpleNamespace) -> int:
     kind = SubgroupKind(args.kind)
     k = ImagQuadField(args.d)
     # NoHostOrderError is a ValueError: main reports it as a usage error
@@ -134,7 +127,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     suite = SUITES[args.suite]
     options = {}
     for name, default in (("dmax", suite.dmax), ("height", suite.height)):
@@ -143,8 +136,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             options[name] = default if given is None else given
         elif given is not None:
             raise ValueError(f"suite {args.suite} does not read --{name}")
-    _check_dmax(args.dmax, suite.max_dmax)
-    _check_height(args.height)
+    _check_range("dmax", args.dmax, suite.max_dmax)
+    _check_range("height", args.height, MAX_HEIGHT)
     failures = suite.run(**options)
     if failures:
         for line in failures:
@@ -155,8 +148,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
-    _check_height(args.height)
+def cmd_oracle_subgroups(args: SimpleNamespace) -> int:
+    _check_range("height", args.height, MAX_HEIGHT)
     height = DEFAULT_HEIGHT if args.height is None else args.height
     k = ImagQuadField(args.d)
     results = {}
@@ -170,76 +163,82 @@ def cmd_oracle_subgroups(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_oracle_local(args: argparse.Namespace) -> int:
+def cmd_oracle_local(args: SimpleNamespace) -> int:
     k = ImagQuadField(args.d)
     count = count_maximal_orders_local(args.p, k, args.tau, args.exp)
     _print_payload(p=args.p, d=args.d, tau=args.tau, exp=args.exp, count=count)
     return 0
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and reused by later ones."""
-    parser = argparse.ArgumentParser(
-        prog="bianchi",
-        allow_abbrev=False,
-        description="finite subgroups of Bianchi groups: classification, "
-        "class counts, and brute-force verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()  # the default of an option that every call must give
+_INT = (int, REQUIRED)
+_FORMAT = {"--format": (("table", "json"), "table")}
+_HEIGHT = {"--height": (int, None)}
+_KIND, _SUITE = (tuple(k.value for k in KINDS), REQUIRED), (tuple(SUITES), REQUIRED)
 
-    def command(parent, name: str, help: str) -> argparse.ArgumentParser:
-        # as in the top parser, an option is read only by its full name
-        return parent.add_parser(name, help=help, allow_abbrev=False)
+#: each command's words -> its handler and its options: an option's name maps
+#: to its type (int, str, or the tuple of its choices) and to its default
+COMMANDS = {
+    ("classify",): (cmd_classify, {"--d": _INT, **_FORMAT}),
+    ("scan",): (cmd_scan, {"--dmax": _INT, "--kinds": (str, None), **_FORMAT}),
+    ("gamma",): (cmd_gamma, {"--d": _INT, "--kind": _KIND}),
+    ("verify",): (cmd_verify, {"--suite": _SUITE, "--dmax": (int, None), **_HEIGHT}),
+    ("oracle", "subgroups"): (cmd_oracle_subgroups, {"--d": _INT, **_HEIGHT}),
+    ("oracle", "local-count"): (
+        cmd_oracle_local, {"--p": _INT, "--d": _INT, "--tau": _INT, "--exp": _INT}
+    ),
+}
 
-    p_classify = command(sub, "classify", "classify one d")
-    p_classify.add_argument("--d", type=int, required=True)
-    p_classify.add_argument("--format", choices=("table", "json"), default="table")
-    p_classify.set_defaults(func=cmd_classify)
 
-    p_scan = command(sub, "scan", "classify all squarefree d up to a bound")
-    p_scan.add_argument("--dmax", type=int, required=True)
-    p_scan.add_argument("--kinds", type=str)
-    p_scan.add_argument("--format", choices=("table", "json"), default="table")
-    p_scan.set_defaults(func=cmd_scan)
+def _parse(argv: Sequence[str]) -> tuple[Callable, SimpleNamespace]:
+    """The handler of argv's command, and the value of each of its options."""
+    if tuple(argv[:1]) in (("-h",), ("--help",)):
+        return _print_help, SimpleNamespace(commands=list(COMMANDS))
+    words = tuple(argv[:1]) if tuple(argv[:1]) in COMMANDS else tuple(argv[:2])
+    if words not in COMMANDS:
+        raise ValueError(f"unknown command {' '.join(argv[:2])!r}; see bianchi --help")
+    handler, options = COMMANDS[words]
+    values = {}
+    rest = iter(argv[len(words) :])
+    for token in rest:
+        if token in ("-h", "--help"):
+            return _print_help, SimpleNamespace(commands=[words])
+        name, eq, text = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{' '.join(words)} takes no argument {name!r}")
+        if name in values:
+            raise ValueError(f"{name} is given more than once")
+        text = text if eq else next(rest, "--")
+        if text.startswith("--"):  # no option takes such a value
+            raise ValueError(f"{name} needs a value")
+        kind = options[name][0]
+        if kind is int and not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(f"{name} must be a decimal integer, got {text!r}")
+        if isinstance(kind, tuple) and text not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
+        values[name] = int(text) if kind is int else text
+    args = {n: values.get(n, default) for n, (_, default) in options.items()}
+    if missing := [n for n, value in args.items() if value is REQUIRED]:
+        raise ValueError(f"{' '.join(words)} needs {', '.join(missing)}")
+    return handler, SimpleNamespace(**{n[2:]: value for n, value in args.items()})
 
-    p_gamma = command(sub, "gamma", "conjugacy class count for one kind")
-    p_gamma.add_argument("--d", type=int, required=True)
-    p_gamma.add_argument(
-        "--kind", choices=sorted(k.value for k in KINDS), required=True
-    )
-    p_gamma.set_defaults(func=cmd_gamma)
 
-    p_verify = command(sub, "verify", "run a verification suite")
-    p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p_verify.add_argument("--dmax", type=int, default=None)
-    p_verify.add_argument("--height", type=int, default=None)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_oracle = command(sub, "oracle", "run a brute-force oracle")
-    oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
-
-    p_subgroups = command(oracle_sub, "subgroups", "search SL2(o) directly")
-    p_subgroups.add_argument("--d", type=int, required=True)
-    p_subgroups.add_argument("--height", type=int, default=None)
-    p_subgroups.set_defaults(func=cmd_oracle_subgroups)
-
-    p_local = command(
-        oracle_sub, "local-count", "count local maximal orders on the tree"
-    )
-    p_local.add_argument("--p", type=int, required=True)
-    p_local.add_argument("--d", type=int, required=True)
-    p_local.add_argument("--tau", type=int, required=True)
-    p_local.add_argument("--exp", type=int, required=True)
-    p_local.set_defaults(func=cmd_oracle_local)
-
-    return parser
+def _print_help(args: SimpleNamespace) -> int:
+    print("usage, each option given at most once, as --name value or --name=value:")
+    for words in args.commands:
+        line = ["  bianchi", *words]
+        for name, (kind, default) in COMMANDS[words][1].items():
+            value = "|".join(kind) if isinstance(kind, tuple) else name[2:].upper()
+            option = f"{name} {value}"
+            line.append(option if default is REQUIRED else f"[{option}]")
+        print(" ".join(line))
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bianchi.arith import factorize, kronecker
-from bianchi.cli import _build_parser, main
+from bianchi.cli import COMMANDS, REQUIRED, _dump, main
 from bianchi.quaternion import sigma_k
 
 
@@ -27,41 +31,6 @@ def test_classify_large_d_within_a_second(capsys, d):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert json.loads(out)["d"] == d
-
-
-def test_main_reuses_one_parser(capsys):
-    code, out, _ = run(capsys, "classify", "--d", "5", "--format", "json")
-    assert code == 0 and json.loads(out)["d"] == 5
-    code, out, _ = run(capsys, "gamma", "--d", "5", "--kind", "d3")
-    assert code == 0 and json.loads(out)["gamma"] == 4
-    assert _build_parser() is _build_parser()
-    with pytest.raises(SystemExit) as exc:
-        main(["scan", "--dmax", "ten"])
-    assert exc.value.code == 2
-    assert "--dmax" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["scan", "--d", "10"], "required: --dmax"),
-        (["verify", "--suite", "gamma", "--d", "20"], "unrecognized arguments: --d 20"),
-        (["classify", "--d", "5", "--fo", "json"], "unrecognized arguments: --fo json"),
-        (
-            ["oracle", "local-count", "--p", "3", "--d", "3", "--t", "1", "--e", "1"],
-            "required: --tau, --exp",
-        ),
-    ],
-    ids=["scan", "verify", "classify", "local-count"],
-)
-def test_an_option_is_read_only_by_its_full_name(capsys, argv, named):
-    # argparse would read each prefix above as the option it begins; the
-    # parser rejects it, so the call exits 2 with a usage line before it runs
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, ""), err
-    assert err.startswith("usage: bianchi") and named in err.splitlines()[-1], err
 
 
 @pytest.mark.parametrize("argv", [("--dmax", "3000"), ("--kinds", "t,d2", "--dmax", "1000")])
@@ -238,3 +207,115 @@ def test_range_suites_report_failures_in_order_of_d(capsys):
     assert code == 1 and out == "suite subgroups: 69 failure(s)\n"
     ds = [int(line.rsplit("d=", 1)[1]) for line in err.splitlines()]
     assert len(ds) == 69 and ds == sorted(ds) and ds[-1] == 130
+
+
+def test_help_shows_every_option_and_choice_of_the_table(capsys):
+    for words, (_, options) in COMMANDS.items():
+        code, out, err = run(capsys, *words, "--help")
+        assert (code, err) == (0, "")
+        shown = {word for token in out.split() for word in token.strip("[]").split("|")}
+        for name, (kind, _) in options.items():
+            choices = kind if isinstance(kind, tuple) else ()
+            assert {name, *choices} <= shown, (words, out)
+    for flag in ("--help", "-h"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        for words in COMMANDS:
+            assert f"  bianchi {' '.join(words)} " in out, out
+
+
+def test_a_classify_call_imports_no_argparse(run_python):
+    # parsing is a dict lookup per option, the saving a classify call makes
+    code = """
+import contextlib, io, sys
+import bianchi.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["classify", "--d", "5", "--format", "json"])
+print(code, "argparse" in sys.modules)
+"""
+    done = run_python(code)
+    assert done.stdout == "0 False\n", done.stderr
+
+
+# spellings that Python's int() reads, or half reads, and the grammar does not
+ODD_INTS = ("1_0", "+5", " 5", "5 ", "٥", "١٠", "0x5", "1e1", "5.0", "", "-")
+BOUNDARY = (0, 1, -1, -5, 10**6, 10**6 + 1, 2**63 - 1, 2**63, -(2**63))
+# the in-range values of each integer option, kept small so that a call takes
+# milliseconds
+SMALL = {
+    "--d": st.integers(1, 100),
+    "--dmax": st.integers(1, 100),
+    "--height": st.integers(1, 4),
+    "--p": st.sampled_from([3, 5, 7, 11]),
+    "--tau": st.integers(-3, 3),
+    "--exp": st.integers(0, 3),
+}
+
+
+def option_values(name, kind):
+    if kind is int:
+        # a scan or range suite to 10^6 takes seconds
+        boundary = [str(n) for n in BOUNDARY if name != "--dmax" or n != 10**6]
+        small = SMALL[name].map(str)
+        odd = st.sampled_from(ODD_INTS)
+        return st.one_of(small, small, small, small, st.sampled_from(boundary), odd)
+    if kind is str:  # --kinds
+        entries = st.sampled_from(["d3", "t", "d2", "", "q8", " t"])
+        return st.lists(entries, max_size=4).map(",".join)
+    named = st.sampled_from(kind)
+    return named | named | st.sampled_from([kind[0].upper(), kind[0][:-1], "", f" {kind[0]}"])
+
+
+def is_spelled_wrong(value, kind):
+    if kind is int:
+        return value in ODD_INTS
+    return isinstance(kind, tuple) and value not in kind
+
+
+@st.composite
+def argvs(draw):
+    """An argv built from COMMANDS, whether its output is JSON, and whether its
+    grammar is wrong."""
+    words, (_, options) = draw(st.sampled_from(list(COMMANDS.items())))
+    pairs, wrong = [], False
+    for name, (kind, default) in options.items():
+        # a required option is left out now and then, an optional one half the time
+        if draw(st.integers(0, 9)) < (9 if default is REQUIRED else 5):
+            pairs.append((name, draw(option_values(name, kind))))
+            wrong |= is_spelled_wrong(pairs[-1][1], kind)
+        else:
+            wrong |= default is REQUIRED
+    pairs = draw(st.permutations(pairs))
+    argv = list(words)
+    for name, value in pairs:
+        argv += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    # then, in a third of the argvs: an option repeated, a prefix of its name,
+    # an unknown option, a stray word, or an option with no value at the end
+    name, value = draw(st.sampled_from(pairs)) if pairs else (next(iter(options)), "1")
+    faults = [(name, value), (name[:-1], value), ("--x", "1"), ("7",), (name,)]
+    fault = draw(st.sampled_from([()] * 10 + faults))
+    json_out = words[0] in ("gamma", "oracle") or ("--format", "json") in pairs
+    return argv + list(fault), json_out, wrong or fault != ()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(argvs())
+@example((["classify", "--format=json", "--d", "10"], True, False))
+@example((["scan", "--dmax", "30", "--format", "json", "--kinds", "t"], True, False))
+def test_fuzzed_argv_keeps_the_exit_contract(case):
+    # the contract of main: exit 0, 1, 2 or 141 and no traceback; exit 2 with
+    # one error line and nothing on stdout, which every wrong grammar gets; and
+    # JSON that is its own key-sorted dump
+    argv, json_out, wrong = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 141), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert code == 2 or not wrong, (argv, code)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if code == 0 and json_out:
+        assert out == _dump(json.loads(out)) + "\n", argv

@@ -183,6 +183,23 @@ USAGE_ROWS = [
     (local_count(p=1000003, d=1000003, exp=0), "tree vertices"),
     (local_count(exp=4), "0..3"),
     (local_count(d=12), "squarefree"),
+    # the grammar: an option is read only by its full name, at most once, with
+    # a value, and an integer only in ASCII decimal
+    (["scan", "--d", "10"], "no argument '--d'"),
+    (["verify", "--suite", "gamma", "--d", "20"], "no argument '--d'"),
+    (["classify", "--d", "5", "--fo", "json"], "no argument '--fo'"),
+    (local_count()[:6] + ["--t", "1", "--e", "1"], "no argument '--t'"),
+    (["scan", "--dmax", "ten"], "--dmax must be a decimal integer"),
+    *[
+        (["classify", "--d", spelled], "--d must be a decimal integer")
+        for spelled in ("1_0", "٥", "+5", " 5")
+    ],
+    (["scan", "--dmax", "١٠"], "--dmax must be a decimal integer"),
+    (local_count(exp="٢"), "--exp must be a decimal integer"),
+    *[(["scan", "--dmax", "10", "--kinds", k], "distinct kinds") for k in ("d2,,t", "t,t")],
+    (["classify", "--d", "5", "--d", "7"], "--d is given more than once"),
+    (["classify", "--format", "json", "--d"], "--d needs a value"),
+    (["clasify", "--d", "5"], "unknown command"),
 ]
 
 
