@@ -216,7 +216,10 @@ def _parse(argv: Sequence[str]) -> tuple[Callable, SimpleNamespace]:
             raise ValueError(f"{name} must be a decimal integer, got {text!r}")
         if isinstance(kind, tuple) and text not in kind:
             raise ValueError(f"{name} must be one of {', '.join(kind)}, got {text!r}")
-        values[name] = int(text) if kind is int else text
+        try:
+            values[name] = int(text) if kind is int else text
+        except ValueError:  # decimal digits, but more than int() converts
+            raise ValueError(f"{name} is too long: {len(text)} characters") from None
     args = {n: values.get(n, default) for n, (_, default) in options.items()}
     if missing := [n for n, value in args.items() if value is REQUIRED]:
         raise ValueError(f"{' '.join(words)} needs {', '.join(missing)}")

@@ -44,17 +44,14 @@ from .ring import Flat, Pair, _minv, _mmul, _mtrace, _scalar
 
 
 class PrecisionError(RuntimeError):
-    """A self-check of the tree count failed: the maximal order's
-    discriminant, the base vertex's containment of it and of the target, the
-    target's index or exponent, the distance of a match, or the recount at a
-    raised working precision."""
+    """A self-check of the tree count failed: a built matrix outside F(tau)
+    (_lattice) or with a reduced trace off Q (_disc_valuation), the maximal
+    order's discriminant, the base vertex's containment of it and of the
+    target, its index or exponent, a match's distance, or the recount."""
 
 
-#: The most tree vertices a count may reach. There are 1 + (p + 1)(p^m -
-#: 1)/(p - 1) within distance m, and a count at index p^r looks within
-#: distance r + 1; it admits every r in 0..3 for p <= 11. The walk visits
-#: far fewer, but its size is not known before it ends, so the bound is on
-#: the ball, checked before any vertex is visited.
+#: The most tree vertices a count's walk may queue, and so test; at r = 3 it
+#: admits p <= 79 for the split algebra and p <= 61 for the division algebra.
 MAX_VERTICES = 2 * 10**4
 
 
@@ -149,7 +146,7 @@ def _lattice(mats: list[RMat], tau: int, p: int) -> Lattice:
     rows = []
     for X, den in mats:
         if X[4:8] != (tau * X[2], -tau * X[3], X[0], -X[1]):
-            raise ValueError("matrix does not lie in F(tau)")
+            raise PrecisionError("matrix does not lie in F(tau)")
         rows.append([x * p ** (e - valuation(den, p)) for x in X[0:4]])
     return rows, e
 
@@ -214,7 +211,7 @@ def _disc_valuation(mats: list[RMat], d: int, p: int) -> int:
         for Y, _ in mats:
             trace, pi_part = _mtrace(_mmul(X, Y, 0, -d))
             if pi_part != 0:
-                raise ValueError("reduced trace not rational: not in F(tau)")
+                raise PrecisionError("reduced trace not rational: not in F(tau)")
             row.append(trace)
         gram.append(row)
     return valuation(_det(gram), p) - 2 * sum(valuation(den, p) for _, den in mats)
@@ -326,8 +323,9 @@ def _held_vertices(
     it, and that order lies in every maximal order on the path between
     them. The base lies in it, as _frame checks. So a vertex whose order
     does not hold the target has no descendant whose order does, and the
-    walk expands the _children of the holding vertices only."""
-    queue = deque([(0, 0, (0, 0))])
+    walk expands the _children of the holding vertices only, counting them
+    before it builds them; past MAX_VERTICES queued it raises ValueError."""
+    queue, queued = deque([(0, 0, (0, 0))]), 1
     while queue:
         a, c, b = queue.popleft()
         J = _vertex_matrix(d, a, c, b)
@@ -336,6 +334,9 @@ def _held_vertices(
             continue
         yield a, c, J, J_inv
         if a + c <= r:
+            queued += p + (a + c == 0)  # the base has p + 1 children, others p
+            if queued > MAX_VERTICES:
+                raise ValueError(f"p={p}, r={r}: over {MAX_VERTICES} tree vertices")
             queue.extend(_children(d, p, a, c, b))
 
 
@@ -371,8 +372,8 @@ def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> in
     against -d decides whether F(tau) splits); internally a unit
     representative of that class is used. The count is computed at working
     precision K = r + 3 and re-checked at K + 1; disagreement raises
-    PrecisionError. ValueError before any vertex is visited if there are
-    more than MAX_VERTICES of them within distance r + 1.
+    PrecisionError. ValueError once the walk would test more than
+    MAX_VERTICES vertices.
     """
     if not 0 <= r <= 3:
         raise ValueError(f"r must lie in 0..3, got {r}")
@@ -380,12 +381,6 @@ def count_maximal_orders_local(p: int, k: ImagQuadField, tau: int, r: int) -> in
         raise ValueError(f"p must be an odd prime, got {p}")
     if splitting(k, p) is not SplitType.RAMIFIED:
         raise ValueError(f"p={p} is not ramified in Q(i*sqrt({k.d}))")
-    n_vertices = 1 + (p + 1) * (p ** (r + 1) - 1) // (p - 1)
-    if n_vertices > MAX_VERTICES:
-        raise ValueError(
-            f"p={p}, distance {r + 1}: {n_vertices} tree vertices, "
-            f"more than {MAX_VERTICES}"
-        )
     if tau == 0 or valuation(tau, p) > 1:
         raise ValueError("tau must be nonzero with v_p(tau) <= 1")
     eps = _hilbert_symbol_at(tau, -k.d, p)

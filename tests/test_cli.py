@@ -83,8 +83,9 @@ def test_scan_rows_are_the_squarefree_d(capsys):
 
 
 def test_oracle_local_count_rejects_a_large_tree_at_once(run_python):
-    # the ball for p = 101, r = 3 holds about 10^8 vertices; the call runs in
-    # a subprocess so that a regression times out instead of hanging the suite
+    # the ball for p = 101, r = 3 holds about 10^8 vertices, and the walk stops
+    # once it has queued MAX_VERTICES; the call runs in a subprocess so that a
+    # regression times out instead of hanging the suite
     code = """
 import time
 from bianchi.cli import main
@@ -95,7 +96,7 @@ print(code, time.perf_counter() - start < 1.0)
 """
     done = run_python(code, timeout=30)
     assert done.stdout == "2 True\n"
-    assert "106141609 tree vertices, more than 20000" in done.stderr
+    assert done.stderr == "error: p=101, r=3: over 20000 tree vertices\n"
 
 
 def test_oracle_subgroups(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from bianchi.oracle.localtree import (
     _conjugate,
     _counts_at_precisions,
     _det,
+    _f_basis,
     _frame,
     _held_vertices,
     _intersection,
@@ -195,18 +197,35 @@ def test_validation_errors():
         count_maximal_orders_local(3, k3, 0, 1)
 
 
-def test_a_count_refuses_a_ball_beyond_the_bound(record_calls, monkeypatch):
-    # within distance 4 of an 11-adic tree lie 17,569 vertices, of a 13-adic
-    # tree 33,321; the refusal comes before any vertex is visited
-    visited = []
-    monkeypatch.setattr(localtree, "_vertex_holds", lambda *args: visited.append(args))
+def test_a_count_refuses_a_walk_beyond_the_bound(record_calls, monkeypatch):
+    # the walk counts the children of a vertex before it builds them, and
+    # tests each vertex it queues, so a refused count has tested at most
+    # MAX_VERTICES vertices: at p = 101, r = 3 (a ball of 106,141,609) it
+    # tests a few hundred; at p = 10^6 + 3 only the base, and the base's
+    # p + 1 children are never built
+    tested, built = [], []
+
+    def recording(gens, d, p, J, J_inv, m):
+        tested.append(J)
+        return _vertex_holds(gens, d, p, J, J_inv, m)
+
+    def children(*args):
+        built.append(args)
+        return _children(*args)
+
+    monkeypatch.setattr(localtree, "_vertex_holds", recording)
+    monkeypatch.setattr(localtree, "_children", children)
     seen = record_calls(is_prime)
-    for p, n in ((13, 33321), (101, 106141609)):
-        with pytest.raises(
-            ValueError, match=f"p={p}, distance 4: {n} tree vertices, more than 20000"
-        ):
-            count_maximal_orders_local(p, ImagQuadField(p), 1, 3)
-    assert (seen, visited) == ([13, 101], [])
+    with pytest.raises(ValueError, match="^p=101, r=3: over 20000 tree vertices$"):
+        count_maximal_orders_local(101, ImagQuadField(101), 1, 3)
+    assert 0 < len(tested) <= localtree.MAX_VERTICES
+    tested.clear()
+    built.clear()
+    p = 10**6 + 3
+    with pytest.raises(ValueError, match=f"^p={p}, r=0: over 20000 tree vertices$"):
+        count_maximal_orders_local(p, ImagQuadField(p), 1, 0)
+    # the base twice: once in _frame and once in the walk
+    assert (tested, built, seen) == ([_scalar(1)] * 2, [], [101, p])
 
 
 def test_a_count_tests_p_once_and_each_vertex_once(record_calls, monkeypatch):
@@ -220,11 +239,16 @@ def test_a_count_tests_p_once_and_each_vertex_once(record_calls, monkeypatch):
     monkeypatch.setattr(localtree, "_vertex_holds", recording)
     seen = record_calls(is_prime)
     assert count_maximal_orders_local(3, k3, -1, 2) == 6
-    assert seen == [3]
     # the base twice: once in _frame, for the maximal order and the target,
     # and once in the walk
     assert tested[0] == tested[1] == _scalar(1)
     assert len(set(tested[1:])) == len(tested) - 1 < len(enumerate_vertices(3, 3))
+    # the ball within distance 4 of a 13-adic tree holds 33,321 vertices; the
+    # division algebra's count at r = 3 tests 874 of them
+    tested.clear()
+    assert count_maximal_orders_local(13, ImagQuadField(13), 2, 3) == 26
+    assert len(tested) == 874
+    assert seen == [3, 13]
 
 
 def test_counts_match_tables_at_p7():
@@ -238,14 +262,32 @@ def test_counts_match_tables_at_p7():
             assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)
 
 
-def test_counts_match_tables_at_p11():
-    p, k = 11, ImagQuadField(11)
-    for split_alg, tau in ((True, 1), (False, _smallest_nonresidue(p))):
+@pytest.mark.parametrize(
+    "p, split_algs, next_p",
+    [
+        (11, (True, False), None),
+        (13, (True, False), None),
+        (79, (True,), 83),
+        (61, (False,), 67),
+    ],
+    ids=["p11", "p13", "p79-split", "p61-division"],
+)
+def test_counts_match_tables_up_to_the_bound(p, split_algs, next_p):
+    # 79 and 61 are the largest p at which the walk of a count at r = 3 stays
+    # within MAX_VERTICES, for the split and the division algebra; the next
+    # prime is refused
+    k = ImagQuadField(p)
+    for split_alg in split_algs:
+        tau = 1 if split_alg else _smallest_nonresidue(p)
         for r in range(4):
             expected = local_embedding_count(
                 LocalCountQuery(p, SplitType.RAMIFIED, split_alg, r)
             )
             assert count_maximal_orders_local(p, k, tau, r) == expected, (tau, r)
+    if next_p is not None:
+        tau = 1 if split_algs[0] else _smallest_nonresidue(next_p)
+        with pytest.raises(ValueError, match="tree vertices"):
+            count_maximal_orders_local(next_p, ImagQuadField(next_p), tau, 3)
 
 
 @pytest.mark.parametrize(
@@ -263,14 +305,17 @@ def test_counts_match_tables_at_p11():
             lambda d, X, Y: (_rmul(d, X, Y)[0], 3 * _rmul(d, X, Y)[1]),
             "maximal or target order not inside the base vertex",
         ),
+        ("_mtrace", lambda X: (0, 1), "reduced trace not rational: not in F(tau)"),
+        # a basis of F(tau + 81): the same discriminant at 3, but not in F(tau)
+        ("_f_basis", lambda tau: _f_basis(tau + 81), "matrix does not lie in F(tau)"),
     ],
-    ids=["discriminant", "index", "containment"],
+    ids=["discriminant", "index", "containment", "trace", "membership"],
 )
 def test_frame_checks_its_orders(capsys, monkeypatch, name, fault, message):
     # p = 3, tau = -1: F(tau) is the division algebra, whose maximal order
     # is built without _rmul
     monkeypatch.setattr(localtree, name, fault)
-    with pytest.raises(PrecisionError, match=f"^{message}$"):
+    with pytest.raises(PrecisionError, match=f"^{re.escape(message)}$"):
         _frame(ImagQuadField(3), 3, -1, 1)
     argv = ["oracle", "local-count", "--p", "3", "--d", "3", "--tau", "-1"]
     assert main([*argv, "--exp", "1"]) == 1

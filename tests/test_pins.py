@@ -181,6 +181,8 @@ USAGE_ROWS = [
     (local_count(tau=0), "tau"),
     (local_count(p=5), "not ramified"),
     (local_count(p=1000003, d=1000003, exp=0), "tree vertices"),
+    (local_count(p=101, d=101, tau=1, exp=3), "tree vertices"),
+    (local_count(p=2**61 - 1, d=2**61 - 1, tau=1, exp=0), "tree vertices"),
     (local_count(exp=4), "0..3"),
     (local_count(d=12), "squarefree"),
     # the grammar: an option is read only by its full name, at most once, with
@@ -198,6 +200,7 @@ USAGE_ROWS = [
     (local_count(exp="٢"), "--exp must be a decimal integer"),
     *[(["scan", "--dmax", "10", "--kinds", k], "distinct kinds") for k in ("d2,,t", "t,t")],
     (["classify", "--d", "5", "--d", "7"], "--d is given more than once"),
+    (["classify", "--d", "7" * 5000], "--d is too long: 5000 characters"),
     (["classify", "--format", "json", "--d"], "--d needs a value"),
     (["clasify", "--d", "5"], "unknown command"),
 ]
@@ -424,7 +427,13 @@ def is_one_dump(out):
 
 
 @pytest.mark.parametrize(
-    "argv, word", USAGE_ROWS, ids=["_".join(a).replace(" ", "_") for a, _ in USAGE_ROWS]
+    "argv, word",
+    USAGE_ROWS,
+    # an argument of thousands of digits stands in the id as its length
+    ids=[
+        "_".join(w if len(w) <= 64 else f"{len(w)}-chars" for w in a).replace(" ", "_")
+        for a, _ in USAGE_ROWS
+    ],
 )
 def test_usage_error(capsys, argv, word):
     start = time.perf_counter()
